@@ -38,10 +38,6 @@ batch, so ``sweep all --jobs N`` overlaps small sweeps with big ones.
 registered protocol stack (see :mod:`repro.stacks`); ``--stack all``
 dispatches the whole (stack, scenario, seed) grid as ONE batch and,
 for ``scenario run``, renders a side-by-side comparison table.
-``--shards N`` (on ``scenario run``, ``scenario sweep`` and
-``campaign run``) decomposes each individual run spatially over N
-processes synchronized conservatively at wired backhaul cuts — metric
-output is byte-identical for any N (see ``docs/SHARDING.md``).
 """
 
 from __future__ import annotations
@@ -114,14 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "results are identical for any N)",
     )
     scenario_run.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="spatial domain shards per run (default 1 = monolithic; "
-        "metrics are byte-identical for any N, see docs/SHARDING.md)",
-    )
-    scenario_run.add_argument(
         "--seeds",
         type=int,
         nargs="+",
@@ -174,14 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for the (point, seed) grid (default 1 = "
         "serial; results are identical for any N)",
-    )
-    scenario_sweep.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="spatial domain shards per grid-point run (default 1 = "
-        "monolithic; metrics are byte-identical for any N)",
     )
     scenario_sweep.add_argument(
         "--seeds",
@@ -288,14 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "final store is byte-identical for any N)",
         )
         campaign_run.add_argument(
-            "--shards",
-            type=int,
-            default=1,
-            metavar="N",
-            help="spatial domain shards per item run (default 1 = "
-            "monolithic; the store is byte-identical for any N)",
-        )
-        campaign_run.add_argument(
             "--batch-size",
             type=int,
             default=None,
@@ -374,14 +346,6 @@ def _jobs_ok(jobs: int) -> bool:
     return True
 
 
-def _shards_ok(shards: int) -> bool:
-    """Validate a --shards value eagerly, printing the error on failure."""
-    if shards < 1:
-        print(f"--shards must be at least 1, got {shards}", file=sys.stderr)
-        return False
-    return True
-
-
 def _stack_ok(stack: str | None) -> bool:
     """Validate a --stack value eagerly, printing the error on failure.
 
@@ -448,12 +412,7 @@ def _scenario_main(args: argparse.Namespace) -> int:
 
     # scenario run ------------------------------------------------------
     wanted = _expand_names(args.names, scenarios.scenario_names(), "scenario")
-    if (
-        wanted is None
-        or not _jobs_ok(args.jobs)
-        or not _shards_ok(args.shards)
-        or not _stack_ok(args.stack)
-    ):
+    if wanted is None or not _jobs_ok(args.jobs) or not _stack_ok(args.stack):
         return 2
 
     specs = [scenarios.get_scenario(name) for name in wanted]
@@ -471,10 +430,7 @@ def _scenario_main(args: argparse.Namespace) -> int:
         # comparison table across every registered stack.
         started = time.perf_counter()
         comparisons = scenarios.compare_scenario_stacks(
-            specs,
-            seeds=args.seeds,
-            backend=backend_for_jobs(args.jobs),
-            shards=args.shards,
+            specs, seeds=args.seeds, backend=backend_for_jobs(args.jobs)
         )
         elapsed = time.perf_counter() - started
         for comparison in comparisons:
@@ -504,7 +460,6 @@ def _scenario_main(args: argparse.Namespace) -> int:
         seeds=args.seeds,
         backend=backend_for_jobs(args.jobs),
         stack=args.stack,
-        shards=args.shards,
     )
     elapsed = time.perf_counter() - started
     for spec, seeds, replication in batch:
@@ -554,12 +509,7 @@ def _scenario_sweep_main(args: argparse.Namespace) -> int:
     from repro.experiments.figures import save_experiment_figure
 
     wanted = _expand_names(args.names, scenarios.sweep_names(), "sweep")
-    if (
-        wanted is None
-        or not _jobs_ok(args.jobs)
-        or not _shards_ok(args.shards)
-        or not _stack_ok(args.stack)
-    ):
+    if wanted is None or not _jobs_ok(args.jobs) or not _stack_ok(args.stack):
         return 2
 
     if args.stack is None:
@@ -586,7 +536,6 @@ def _scenario_sweep_main(args: argparse.Namespace) -> int:
         smoke=args.smoke,
         backend=backend,
         stacks=stack_list,
-        shards=args.shards,
     )
     for effective, base, seeds, result in batch:
         text = scenarios.format_sweep_result(effective, result, seeds)
@@ -663,7 +612,7 @@ def _campaign_main(args: argparse.Namespace) -> int:
             return 0
 
         if args.campaign_command in ("run", "resume"):
-            if not _jobs_ok(args.jobs) or not _shards_ok(args.shards):
+            if not _jobs_ok(args.jobs):
                 return 2
             campaign = Campaign.load(args.directory)
             started = time.perf_counter()
@@ -675,7 +624,6 @@ def _campaign_main(args: argparse.Namespace) -> int:
                 backend=backend_for_jobs(args.jobs),
                 max_items=args.max_items,
                 log=print,
-                shards=args.shards,
                 **kwargs,
             )
             elapsed = time.perf_counter() - started

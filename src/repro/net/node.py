@@ -37,6 +37,10 @@ class Node:
         self._default_handler: Optional[PacketHandler] = None
         self.received_count = 0
         self.sent_count = 0
+        #: Local packets no protocol (or default) handler accepted.
+        self.dropped_no_handler = 0
+        #: Transit packets discarded because this node does not forward.
+        self.dropped_not_forwarded = 0
 
     # ------------------------------------------------------------------
     @property
@@ -102,11 +106,15 @@ class Node:
 
     def deliver_local(self, packet: "Packet", link: Optional["Link"]) -> None:
         handler = self._handlers.get(packet.protocol, self._default_handler)
-        if handler is not None:
-            handler(packet, link)
+        if handler is None:
+            self.dropped_no_handler += 1
+            return
+        handler(packet, link)
 
     def forward(self, packet: "Packet", link: Optional["Link"]) -> None:
-        """Hosts do not forward; routers override this."""
+        """Hosts do not forward (the packet is counted and dropped);
+        routers override this."""
+        self.dropped_not_forwarded += 1
 
     def __repr__(self) -> str:
         addresses = ",".join(str(a) for a in self.addresses) or "-"

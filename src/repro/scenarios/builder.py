@@ -71,27 +71,6 @@ def run_scenario_spec(spec: ScenarioSpec, seed: int) -> dict[str, float]:
     return build_scenario(spec, seed).execute()
 
 
-def scenario_job(spec: ScenarioSpec, seed: int, shards: int = 1):
-    """The zero-argument backend job for one ``(spec, seed)`` run.
-
-    ``shards <= 1`` returns the plain serial :func:`run_scenario_spec`
-    partial; larger values return a
-    :func:`repro.shard.runner.run_scenario_spec_sharded` partial, which
-    decomposes the run spatially over ``shards`` processes and — by the
-    shard determinism contract (see :mod:`repro.shard`) — produces the
-    byte-identical metric dict.  One seam so every dispatcher
-    (replicate, sweep, campaign) threads ``--shards`` identically.
-    """
-    from functools import partial
-
-    if shards <= 1:
-        return partial(run_scenario_spec, spec, seed)
-    # Lazy: repro.shard.runner imports this module at load time.
-    from repro.shard.runner import run_scenario_spec_sharded
-
-    return partial(run_scenario_spec_sharded, spec, seed, shards)
-
-
 def run_scenario_trace(spec: ScenarioSpec, seed: int):
     """Run one ``(spec, seed)`` pair and keep its decision trace.
 
@@ -116,5 +95,4 @@ __all__ = [
     "roam_rectangle",
     "run_scenario_spec",
     "run_scenario_trace",
-    "scenario_job",
 ]

@@ -197,9 +197,9 @@ class Simulator:
         callback or process raises :class:`RuntimeError`.  A nested loop
         would drain events past the outer loop's ``until`` bound and
         then rewind the clock when the outer call returned — silently
-        corrupting event order.  Drivers that interleave several
-        bounded advances (e.g. the shard driver) call ``run`` serially
-        from the top level instead.
+        corrupting event order.  Code that needs several bounded
+        advances (e.g. the warmup → traffic → drain phases) calls
+        ``run`` serially from the top level instead.
         """
         if self._running:
             raise RuntimeError(

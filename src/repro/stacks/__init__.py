@@ -31,8 +31,7 @@ from repro.stacks.base import (
     COMMON_METRICS,
     StackAdapter,
     StackRun,
-    air_metrics,
-    flow_metrics,
+    collect_metrics,
 )
 from repro.stacks.registry import (
     DEFAULT_STACK,
@@ -69,11 +68,10 @@ __all__ = [
     "MultiTierStack",
     "StackAdapter",
     "StackRun",
-    "air_metrics",
     "build_cip_scenario",
     "build_mip_scenario",
     "build_multitier_scenario",
-    "flow_metrics",
+    "collect_metrics",
     "get_stack",
     "is_registered",
     "iter_stacks",

@@ -11,7 +11,8 @@ collects a metric dict.
 Metric contract
 ---------------
 * Every stack emits :data:`COMMON_METRICS` (plain, never-NaN floats) —
-  the keys the cross-stack comparison table aligns on.
+  the keys the cross-stack comparison table aligns on — through the
+  one collector :func:`collect_metrics`.
 * Stack-specific extras are namespaced ``<prefix>.<key>`` (e.g.
   ``cip.route_updates``, ``mip.tunneled``) per the adapter's
   :attr:`~StackAdapter.metric_namespace`.  The multi-tier adapter's
@@ -35,9 +36,11 @@ import abc
 from typing import TYPE_CHECKING, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.fluid.driver import FluidDriver
+    from repro.net.topology import Network
     from repro.scenarios.spec import ScenarioSpec
     from repro.stacks.population import FlowPlan
-    from repro.traffic import FlowSink, TrafficSource
+    from repro.traffic import TrafficSource
 
 #: Metric keys every stack adapter emits, in canonical order — the
 #: rows of the cross-stack comparison table.
@@ -84,113 +87,99 @@ def run_measurement_phases(sim, spec, flow_plans, sources, sinks, collect):
     return collect()
 
 
-def sink_state(sink: "FlowSink") -> dict[str, float]:
-    """One sink's metric-relevant state as a plain picklable dict.
-
-    The harvest/merge path of sharded runs (see :mod:`repro.shard`)
-    cannot ship live :class:`~repro.traffic.FlowSink` objects across
-    processes (they hold a simulator reference), so each stack harvests
-    this reduced state instead; the guarded statistics mirror exactly
-    the ``received > 0`` / ``received > 1`` conditions under which the
-    metric formulas read them.  Deterministic: pure counter readout.
-    """
-    return {
-        "received": sink.received,
-        "bytes_received": sink.bytes_received,
-        "mean_delay": sink.mean_delay() if sink.received > 0 else 0.0,
-        "jitter": sink.jitter() if sink.received > 1 else 0.0,
-        "max_gap": sink.max_gap() if sink.received > 1 else 0.0,
-    }
+def _mean(values: list[float]) -> float:
+    return (sum(values) / len(values)) if values else 0.0
 
 
-def flow_metrics(
+def collect_metrics(
     spec: "ScenarioSpec",
+    network: "Network",
     sources: list["TrafficSource"],
-    sinks: list["FlowSink"],
     flow_plans: list["FlowPlan"],
+    *,
+    handoffs: int,
+    handoff_latencies: list[float],
+    attached: int,
+    extras: dict[str, float],
+    channels: list,
+    fluid_driver: "FluidDriver | None",
+    policy: "dict[str, float] | None" = None,
+    order: "tuple[str, ...] | None" = None,
 ) -> dict[str, float]:
-    """The traffic-plane slice of :data:`COMMON_METRICS`.
+    """One run's metric dict, read from its live sources and sinks.
 
-    Shared by the Cellular IP and Mobile IP adapters (the multi-tier
-    adapter keeps its historical, golden-pinned collection code).
-    Computes sent/received/loss, delay/jitter/gap and elastic goodput
-    from the per-flow sources and sinks with the same formulas the
-    multi-tier stack uses, so cross-stack columns are comparable.
+    The single collection path of every stack.  Each adapter passes
+    only its own mobility counters (``handoffs``, the per-handoff
+    ``handoff_latencies`` in a fixed order, the ``attached`` count) and
+    its ``extras``; this function computes the common slice with one
+    set of formulas, so cross-stack columns are comparable.
+
+    Key order is what tables render: the traffic keys ``population``
+    … ``max_gap`` and ``elastic_goodput_bps``, then ``handoffs``,
+    ``handoff_latency``, ``attached``, ``hop_total`` and the
+    ``extras`` — unless ``order`` names those keys in another order
+    (the multi-tier table's golden-pinned layout).  Gated families
+    follow, each only when the spec asks for it so default tables keep
+    their shape: ``air_*`` over ``channels`` (the busiest cell's
+    downlink utilization and the airtime cancelled by claim detaches;
+    ``None`` entries are cells without a channel) when shared channels
+    are enabled, the adapter's ``policy`` counters, and the ``fluid.*``
+    family of ``fluid_driver``.
+
     Deterministic: pure arithmetic over the run's counters; all values
     are plain floats and never NaN.
     """
-    return flow_metrics_from_states(
-        spec,
-        [source.packets_sent for source in sources],
-        [sink_state(sink) for sink in sinks],
-        [plan.kind for plan in flow_plans],
-    )
-
-
-def flow_metrics_from_states(
-    spec: "ScenarioSpec",
-    packets_sent: list[int],
-    sink_states: list[dict],
-    kinds: list[str],
-) -> dict[str, float]:
-    """:func:`flow_metrics` over harvested (picklable) per-flow state.
-
-    The single definition both the monolithic path (live objects,
-    reduced via :func:`sink_state`) and the sharded merge path feed, so
-    shard count cannot change a single formula.  ``packets_sent``,
-    ``sink_states`` and ``kinds`` are index-aligned per flow plan.
-    Deterministic: pure arithmetic, plain never-NaN floats.
-    """
-    sent = sum(packets_sent)
-    received = sum(state["received"] for state in sink_states)
-    delays = [s["mean_delay"] for s in sink_states if s["received"] > 0]
-    jitters = [s["jitter"] for s in sink_states if s["received"] > 1]
-    gaps = [s["max_gap"] for s in sink_states if s["received"] > 1]
+    sinks = [plan.sink for plan in flow_plans]
+    sent = sum(source.packets_sent for source in sources)
+    received = sum(sink.received for sink in sinks)
     goodput = [
-        state["bytes_received"] * 8.0 / spec.duration
-        for state, kind in zip(sink_states, kinds)
-        if kind == "elastic-data"
+        plan.sink.bytes_received * 8.0 / spec.duration
+        for plan in flow_plans
+        if plan.kind == "elastic-data"
     ]
-    return {
+    gaps = [sink.max_gap() for sink in sinks if sink.received > 1]
+    metrics = {
         "population": float(spec.population),
-        "flows": float(len(kinds)),
+        "flows": float(len(flow_plans)),
         "sent": float(sent),
         "received": float(received),
         "loss_rate": (1.0 - received / sent) if sent else 0.0,
-        "mean_delay": (sum(delays) / len(delays)) if delays else 0.0,
-        "jitter": (sum(jitters) / len(jitters)) if jitters else 0.0,
-        "max_gap": max(gaps) if gaps else 0.0,
-        "elastic_goodput_bps": (
-            (sum(goodput) / len(goodput)) if goodput else 0.0
+        "mean_delay": _mean(
+            [sink.mean_delay() for sink in sinks if sink.received > 0]
         ),
+        "jitter": _mean([sink.jitter() for sink in sinks if sink.received > 1]),
+        "max_gap": max(gaps) if gaps else 0.0,
+        "elastic_goodput_bps": _mean(goodput),
+        "handoffs": float(handoffs),
+        "handoff_latency": _mean(handoff_latencies),
+        "attached": float(attached),
+        "hop_total": float(sum(network.protocol_hop_totals().values())),
+        **extras,
     }
+    if order is not None:
+        metrics = {key: metrics[key] for key in order}
+    if spec.channels_enabled():
+        from repro.radio.channel import DOWNLINK, UPLINK
 
-
-def air_metrics(channels: list, window: float) -> dict[str, float]:
-    """Contention-mode air-interface extras over ``channels``.
-
-    Emitted only when the spec enables shared channels (legacy tables
-    must not grow keys).  Mirrors the multi-tier adapter's definitions:
-    the downlink utilization of the busiest cell (over the ``window``
-    seconds simulated) and the total airtime cancelled by claim
-    detaches.  Deterministic counter arithmetic.
-    """
-    from repro.radio.channel import DOWNLINK, UPLINK
-
-    live = [channel for channel in channels if channel is not None]
-    busiest = max(
-        (channel.stats.busy_seconds[DOWNLINK] for channel in live), default=0.0
-    )
-    return {
-        "air_busiest_downlink": busiest / window,
-        "air_detach_drops": float(
+        live = [channel for channel in channels if channel is not None]
+        window = spec.warmup + spec.duration + spec.drain
+        busiest = max(
+            (channel.stats.busy_seconds[DOWNLINK] for channel in live),
+            default=0.0,
+        )
+        metrics["air_busiest_downlink"] = busiest / window
+        metrics["air_detach_drops"] = float(
             sum(
                 channel.stats.dropped_on_detach[DOWNLINK]
                 + channel.stats.dropped_on_detach[UPLINK]
                 for channel in live
             )
-        ),
-    }
+        )
+    if policy is not None:
+        metrics.update(policy)
+    if fluid_driver is not None:
+        metrics.update(fluid_driver.metrics())
+    return metrics
 
 
 class StackAdapter(abc.ABC):
@@ -223,22 +212,6 @@ class StackAdapter(abc.ABC):
         """Build and execute one run — the execution-backend job body."""
         return self.build(spec, seed).execute()
 
-    def harvest_metrics(
-        self, spec: "ScenarioSpec", harvest: dict
-    ) -> dict[str, float]:
-        """Compute the metric dict from a merged shard harvest.
-
-        Sharded runs (see :mod:`repro.shard`) reduce each shard's
-        state with the built scenario's ``harvest`` and merge the
-        results; this hook applies the stack's exact historical metric
-        formulas to that merged harvest.  Adapters that implement the
-        shard contract override it; the base refuses, so an unsharded
-        stack fails eagerly instead of returning wrong numbers.
-        """
-        raise NotImplementedError(
-            f"stack {self.name!r} does not support sharded runs"
-        )
-
     def exercised(self, spec: "ScenarioSpec") -> list[str]:
         """The adapter features ``spec`` exercises, for ``describe``.
 
@@ -263,9 +236,6 @@ __all__ = [
     "COMMON_METRICS",
     "StackAdapter",
     "StackRun",
-    "air_metrics",
-    "flow_metrics",
-    "flow_metrics_from_states",
+    "collect_metrics",
     "run_measurement_phases",
-    "sink_state",
 ]

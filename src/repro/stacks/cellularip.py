@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.cellularip import CIPBaseStation, CIPDomain, CIPGateway, CIPMobileHost
-from repro.fluid.driver import FluidDriver
+from repro.fluid.driver import FluidDriver, install_fluid_background
 from repro.net.addressing import AddressAllocator
 from repro.net.packet import Packet
 from repro.net.topology import Network
@@ -41,10 +41,8 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.stacks.base import (
     StackAdapter,
-    air_metrics,
-    flow_metrics_from_states,
+    collect_metrics,
     run_measurement_phases,
-    sink_state,
 )
 from repro.stacks.flat import FlatMobilityController, flat_cell_layout
 from repro.stacks.population import (
@@ -112,7 +110,6 @@ class BuiltCIPScenario:
     hosts: list[CIPMobileHost]
     controllers: list[_CIPController]
     flow_plans: list[FlowPlan]
-    channel_plan: Optional[ChannelPlan]
     fluid_driver: Optional[FluidDriver] = None
     sources: list[TrafficSource] = field(default_factory=list)
     sinks: list[FlowSink] = field(default_factory=list)
@@ -128,133 +125,42 @@ class BuiltCIPScenario:
             self._collect_metrics,
         )
 
-    # ------------------------------------------------------------------
-    # Shard decomposition contract (see repro.shard)
-    # ------------------------------------------------------------------
-    #: Spatial parts of a built CIP world: the access tree (gateway +
-    #: stations + hosts), the correspondent, and the internet router.
-    SHARD_PARTS = ("radio", "cn", "core")
-
-    def shard_part(self, node_name: str) -> str:
-        """The shard part a node belongs to, by node name.
-
-        ``cn`` and ``internet`` split off the wired side; the gateway,
-        every base station and every mobile host form the radio part
-        (the controllers hold direct station references).
-        Deterministic: pure name lookup.
-        """
-        if node_name == "cn":
-            return "cn"
-        if node_name == "internet":
-            return "core"
-        return "radio"
-
-    def shard_processes(self, part: str) -> list:
-        """Root simulation processes owned by ``part`` (for neutering).
-
-        Only the radio part owns root activity: the per-mobile
-        controllers and the optional fluid driver.  Deterministic:
-        fixed build-order lists.
-        """
-        if part != "radio":
-            return []
-        processes = [host._control_loop for host in self.hosts]
-        processes.extend(controller.process for controller in self.controllers)
-        if self.fluid_driver is not None:
-            processes.append(self.fluid_driver.process)
-        return processes
-
-    def harvest(self, parts) -> dict:
-        """Picklable metric state for the owned ``parts`` of this world.
-
-        Merged across shards (``hops`` summed) and fed to
-        :func:`cip_metrics_from_harvest`; the monolithic path harvests
-        all parts and feeds the same function.  Deterministic: pure
-        counter readout in build order.
-        """
-        h: dict = {"hops": self.network.protocol_hop_totals()}
-        if "cn" in parts:
-            h["packets_sent"] = [s.packets_sent for s in self.sources]
-        if "radio" in parts:
-            h["sinks"] = [sink_state(plan.sink) for plan in self.flow_plans]
-            h["kinds"] = [plan.kind for plan in self.flow_plans]
-            h["hosts"] = [
-                {
-                    "handoffs": host.handoffs_completed,
-                    "attached": host.serving_bs is not None,
-                    "route_updates": host.route_updates_sent,
-                    "paging_updates": host.paging_updates_sent,
-                    "duplicates": host.duplicates_discarded,
-                }
-                for host in self.hosts
-            ]
-            h["latencies"] = [
+    def _collect_metrics(self) -> dict[str, float]:
+        hosts, stations = self.hosts, self.domain.base_stations
+        return collect_metrics(
+            self.spec,
+            self.network,
+            self.sources,
+            self.flow_plans,
+            handoffs=sum(host.handoffs_completed for host in hosts),
+            handoff_latencies=[
                 latency
                 for controller in self.controllers
                 for latency in controller.handoff_latencies
-            ]
-            h["domain"] = {
-                "control_packets": self.domain.total_control_packets(),
-                "downlink_drops": self.domain.total_downlink_drops(),
-                "paging_broadcasts": sum(
-                    bs.paging_broadcasts for bs in self.domain.base_stations
+            ],
+            attached=sum(1 for host in hosts if host.serving_bs is not None),
+            # Namespaced Cellular IP extras (metric contract: base.py).
+            extras={
+                "cip.route_updates": float(
+                    sum(host.route_updates_sent for host in hosts)
                 ),
-            }
-            if self.channel_plan is not None:
-                h["air"] = air_metrics(
-                    [bs.shared_channel for bs in self.domain.base_stations],
-                    self.spec.warmup + self.spec.duration + self.spec.drain,
-                )
-            if self.fluid_driver is not None:
-                h["fluid"] = self.fluid_driver.metrics()
-        return h
-
-    def _collect_metrics(self) -> dict[str, float]:
-        return cip_metrics_from_harvest(
-            self.spec, self.harvest(self.SHARD_PARTS)
+                "cip.paging_updates": float(
+                    sum(host.paging_updates_sent for host in hosts)
+                ),
+                "cip.duplicates": float(
+                    sum(host.duplicates_discarded for host in hosts)
+                ),
+                "cip.control_packets": float(
+                    self.domain.total_control_packets()
+                ),
+                "cip.downlink_drops": float(self.domain.total_downlink_drops()),
+                "cip.paging_broadcasts": float(
+                    sum(bs.paging_broadcasts for bs in stations)
+                ),
+            },
+            channels=[bs.shared_channel for bs in stations],
+            fluid_driver=self.fluid_driver,
         )
-
-
-def cip_metrics_from_harvest(spec: "ScenarioSpec", h: dict) -> dict[str, float]:
-    """The Cellular IP metric dict from (merged) harvest state.
-
-    The historical collection formulas over harvested counters; both
-    the monolithic execute path and the sharded merge route through
-    here, so shard count cannot change a formula.  Deterministic: pure
-    arithmetic, plain never-NaN floats.
-    """
-    metrics = flow_metrics_from_states(
-        spec, h["packets_sent"], h["sinks"], h["kinds"]
-    )
-    latencies = h["latencies"]
-    metrics.update({
-        "handoffs": float(sum(host["handoffs"] for host in h["hosts"])),
-        "handoff_latency": (
-            (sum(latencies) / len(latencies)) if latencies else 0.0
-        ),
-        "attached": float(
-            sum(1 for host in h["hosts"] if host["attached"])
-        ),
-        "hop_total": float(sum(h["hops"].values())),
-        # Namespaced Cellular IP extras (metric contract: base.py).
-        "cip.route_updates": float(
-            sum(host["route_updates"] for host in h["hosts"])
-        ),
-        "cip.paging_updates": float(
-            sum(host["paging_updates"] for host in h["hosts"])
-        ),
-        "cip.duplicates": float(
-            sum(host["duplicates"] for host in h["hosts"])
-        ),
-        "cip.control_packets": float(h["domain"]["control_packets"]),
-        "cip.downlink_drops": float(h["domain"]["downlink_drops"]),
-        "cip.paging_broadcasts": float(h["domain"]["paging_broadcasts"]),
-    })
-    if "air" in h:
-        metrics.update(h["air"])
-    if "fluid" in h:
-        metrics.update(h["fluid"])
-    return metrics
 
 
 def build_cip_scenario(
@@ -387,20 +293,14 @@ def build_cip_scenario(
                 hosts[index].address,
             ))
 
-    # Hybrid background: analytic claims on every contended flat cell.
-    # CIP stations don't carry their cell, so the pairs are zipped here.
-    fluid_driver = None
-    if spec.fluid is not None and spec.fluid.enabled:
-        fluid_driver = FluidDriver(
-            sim,
-            spec.fluid,
-            [
-                (cell, stations_by_cell[cell.name].shared_channel)
-                for cell in cells
-                if stations_by_cell[cell.name].shared_channel is not None
-            ],
-            roam,
-        )
+    # Hybrid background: analytic claims on every contended flat cell
+    # (CIP stations don't carry their cell, so the pairs are zipped here).
+    fluid_driver = install_fluid_background(
+        sim,
+        spec,
+        [(cell, stations_by_cell[cell.name].shared_channel) for cell in cells],
+        roam,
+    )
 
     return BuiltCIPScenario(
         spec=spec,
@@ -411,7 +311,6 @@ def build_cip_scenario(
         hosts=hosts,
         controllers=controllers,
         flow_plans=flow_plans,
-        channel_plan=channel_plan,
         fluid_driver=fluid_driver,
     )
 
@@ -434,12 +333,6 @@ class CellularIPStack(StackAdapter):
     def build(self, spec: ScenarioSpec, seed: int) -> BuiltCIPScenario:
         """Assemble the flat CIP world (see :func:`build_cip_scenario`)."""
         return build_cip_scenario(spec, seed)
-
-    def harvest_metrics(
-        self, spec: ScenarioSpec, harvest: dict
-    ) -> dict[str, float]:
-        """Metric dict from a merged shard harvest (shared formulas)."""
-        return cip_metrics_from_harvest(spec, harvest)
 
     def exercised(self, spec: ScenarioSpec) -> list[str]:
         """Adapter features ``spec`` exercises under flat Cellular IP."""
@@ -494,5 +387,4 @@ __all__ = [
     "CellularIPHardStack",
     "CellularIPStack",
     "build_cip_scenario",
-    "cip_metrics_from_harvest",
 ]

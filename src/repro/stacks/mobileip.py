@@ -32,7 +32,7 @@ from repro.mobileip import (
     install_home_prefix_routes,
 )
 from repro.multitier.architecture import HOME_PREFIX
-from repro.fluid.driver import FluidDriver
+from repro.fluid.driver import FluidDriver, install_fluid_background
 from repro.net.addressing import AddressAllocator
 from repro.net.packet import Packet
 from repro.net.topology import Network
@@ -42,10 +42,8 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
 from repro.stacks.base import (
     StackAdapter,
-    air_metrics,
-    flow_metrics_from_states,
+    collect_metrics,
     run_measurement_phases,
-    sink_state,
 )
 from repro.stacks.flat import FlatMobilityController, flat_cell_layout
 from repro.stacks.population import (
@@ -104,12 +102,6 @@ class _MIPController(FlatMobilityController):
 class BuiltMIPScenario:
     """A fully assembled Mobile IP world plus its planned traffic."""
 
-    #: Shard decomposition parts, in deterministic harvest/merge order
-    #: (see :mod:`repro.shard`): the radio access side (FAs, mobiles,
-    #: controllers), the correspondent host, the home agent, and the
-    #: wired core router joining them.
-    SHARD_PARTS = ("radio", "cn", "home", "core")
-
     spec: ScenarioSpec
     seed: int
     sim: Simulator
@@ -119,7 +111,6 @@ class BuiltMIPScenario:
     nodes: list[MobileIPNode]
     controllers: list[_MIPController]
     flow_plans: list[FlowPlan]
-    channel_plan: Optional[ChannelPlan]
     fluid_driver: Optional[FluidDriver] = None
     sources: list[TrafficSource] = field(default_factory=list)
     sinks: list[FlowSink] = field(default_factory=list)
@@ -135,130 +126,46 @@ class BuiltMIPScenario:
             self._collect_metrics,
         )
 
-    # ------------------------------------------------------------------
-    def shard_part(self, node_name: str) -> str:
-        """Map a network node name onto one of :data:`SHARD_PARTS`.
-
-        The correspondent is its own part, the home agent lives in
-        ``home``, the core router in ``core``; everything else (FAs and
-        their radio side) is ``radio``.  Deterministic name lookup.
-        """
-        if node_name == "cn":
-            return "cn"
-        if node_name == "ha":
-            return "home"
-        if node_name == "internet":
-            return "core"
-        return "radio"
-
-    def shard_processes(self, part: str) -> list:
-        """The simulation processes owned by ``part``.
-
-        A sharded run neuters these on every replica that does not own
-        ``part`` so only the owner advances them.  Deterministic: fixed
-        build-order lists.
-        """
-        if part != "radio":
-            return []
-        processes = [agent._advertiser for agent in self.agents]
-        processes.extend(controller.process for controller in self.controllers)
-        if self.fluid_driver is not None:
-            processes.append(self.fluid_driver.process)
-        return processes
-
-    def harvest(self, parts) -> dict:
-        """Reduce the named parts' run state to one picklable dict.
-
-        Each shard calls this for the parts it owns; the merge path
-        unions the sections (summing ``hops``, which every replica
-        accrues for the links it drives) and feeds the result to
-        :func:`mip_metrics_from_harvest`.  Deterministic counter
-        readout in fixed build order.
-        """
-        h: dict = {"hops": self.network.protocol_hop_totals()}
-        if "cn" in parts:
-            h["packets_sent"] = [s.packets_sent for s in self.sources]
-        if "home" in parts:
-            home_agent = self.home_agent
-            h["home"] = {
-                "registrations_accepted": home_agent.registrations_accepted,
-                "registrations_denied": home_agent.registrations_denied,
-                "tunneled": home_agent.tunneled_count,
-                "dropped_no_binding": home_agent.dropped_no_binding,
-            }
-        if "radio" in parts:
-            h["sinks"] = [sink_state(plan.sink) for plan in self.flow_plans]
-            h["kinds"] = [plan.kind for plan in self.flow_plans]
-            h["handoffs"] = sum(
-                controller.handoffs for controller in self.controllers
-            )
-            h["latencies"] = [
+    def _collect_metrics(self) -> dict[str, float]:
+        home_agent, nodes = self.home_agent, self.nodes
+        return collect_metrics(
+            self.spec,
+            self.network,
+            self.sources,
+            self.flow_plans,
+            handoffs=sum(controller.handoffs for controller in self.controllers),
+            # Mobile IP re-establishes routing via home registration, so
+            # the registration round-trip IS the handoff latency.
+            handoff_latencies=[
                 latency
-                for node in self.nodes
+                for node in nodes
                 for latency in node.registration_latencies
-            ]
-            h["attached"] = sum(
+            ],
+            attached=sum(
                 1
                 for controller in self.controllers
                 if controller.serving_cell is not None
-            )
-            h["registration_attempts"] = sum(
-                node.registration_attempts for node in self.nodes
-            )
-            h["dropped_unknown_visitor"] = sum(
-                agent.dropped_unknown_visitor for agent in self.agents
-            )
-            if self.channel_plan is not None:
-                spec = self.spec
-                h["air"] = air_metrics(
-                    [agent.shared_channel for agent in self.agents],
-                    spec.warmup + spec.duration + spec.drain,
-                )
-            if self.fluid_driver is not None:
-                h["fluid"] = self.fluid_driver.metrics()
-        return h
-
-    def _collect_metrics(self) -> dict[str, float]:
-        return mip_metrics_from_harvest(self.spec, self.harvest(self.SHARD_PARTS))
-
-
-def mip_metrics_from_harvest(spec: "ScenarioSpec", h: dict) -> dict[str, float]:
-    """Compute the Mobile IP metric dict from a (merged) harvest.
-
-    The single formula set both the monolithic collection path and the
-    sharded merge feed, holding the historical metric order exactly so
-    shard count cannot perturb a golden table.  Deterministic pure
-    arithmetic over harvested counters.
-    """
-    metrics = flow_metrics_from_states(
-        spec, h["packets_sent"], h["sinks"], h["kinds"]
-    )
-    registrations = h["latencies"]
-    home = h["home"]
-    metrics.update({
-        "handoffs": float(h["handoffs"]),
-        # Mobile IP re-establishes routing via home registration, so
-        # the registration round-trip IS the handoff latency.
-        "handoff_latency": (
-            (sum(registrations) / len(registrations))
-            if registrations
-            else 0.0
-        ),
-        "attached": float(h["attached"]),
-        "hop_total": float(sum(h["hops"].values())),
-        # Namespaced Mobile IP extras (metric contract: base.py).
-        "mip.registration_attempts": float(h["registration_attempts"]),
-        "mip.registrations_accepted": float(home["registrations_accepted"]),
-        "mip.registrations_denied": float(home["registrations_denied"]),
-        "mip.tunneled": float(home["tunneled"]),
-        "mip.dropped_no_binding": float(home["dropped_no_binding"]),
-        "mip.dropped_unknown_visitor": float(h["dropped_unknown_visitor"]),
-    })
-    if "air" in h:
-        metrics.update(h["air"])
-    if "fluid" in h:
-        metrics.update(h["fluid"])
-    return metrics
+            ),
+            # Namespaced Mobile IP extras (metric contract: base.py).
+            extras={
+                "mip.registration_attempts": float(
+                    sum(node.registration_attempts for node in nodes)
+                ),
+                "mip.registrations_accepted": float(
+                    home_agent.registrations_accepted
+                ),
+                "mip.registrations_denied": float(
+                    home_agent.registrations_denied
+                ),
+                "mip.tunneled": float(home_agent.tunneled_count),
+                "mip.dropped_no_binding": float(home_agent.dropped_no_binding),
+                "mip.dropped_unknown_visitor": float(
+                    sum(agent.dropped_unknown_visitor for agent in self.agents)
+                ),
+            },
+            channels=[agent.shared_channel for agent in self.agents],
+            fluid_driver=self.fluid_driver,
+        )
 
 
 def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
@@ -417,18 +324,12 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
             ))
 
     # Hybrid background: analytic claims on every contended flat cell.
-    fluid_driver = None
-    if spec.fluid is not None and spec.fluid.enabled:
-        fluid_driver = FluidDriver(
-            sim,
-            spec.fluid,
-            [
-                (cell, agents_by_cell[cell.name].shared_channel)
-                for cell in cells
-                if agents_by_cell[cell.name].shared_channel is not None
-            ],
-            roam,
-        )
+    fluid_driver = install_fluid_background(
+        sim,
+        spec,
+        [(cell, agent.shared_channel) for cell, agent in zip(cells, agents)],
+        roam,
+    )
 
     return BuiltMIPScenario(
         spec=spec,
@@ -440,7 +341,6 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
         nodes=nodes,
         controllers=controllers,
         flow_plans=flow_plans,
-        channel_plan=channel_plan,
         fluid_driver=fluid_driver,
     )
 
@@ -475,12 +375,6 @@ class MobileIPStack(StackAdapter):
         :func:`build_mip_scenario`)."""
         return build_mip_scenario(spec, seed)
 
-    def harvest_metrics(
-        self, spec: ScenarioSpec, harvest: dict
-    ) -> dict[str, float]:
-        """Metric dict from a merged shard harvest (shared formulas)."""
-        return mip_metrics_from_harvest(spec, harvest)
-
     def exercised(self, spec: ScenarioSpec) -> list[str]:
         """Adapter features ``spec`` exercises under flat Mobile IP."""
         features = super().exercised(spec)
@@ -512,5 +406,4 @@ __all__ = [
     "BuiltMIPScenario",
     "MobileIPStack",
     "build_mip_scenario",
-    "mip_metrics_from_harvest",
 ]

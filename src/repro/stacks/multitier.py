@@ -25,7 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.fluid.driver import FluidDriver, install_fluid_background
+from repro.fluid.driver import (
+    FluidDriver,
+    fluid_channel_pairs,
+    install_fluid_background,
+)
 from repro.multitier.architecture import MobilityController, MultiTierWorld
 from repro.multitier.mobile import MultiTierMobileNode
 from repro.net.packet import Packet
@@ -35,7 +39,11 @@ from repro.sim.rng import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
     from repro.scenarios.spec import ScenarioSpec
-from repro.stacks.base import StackAdapter, run_measurement_phases, sink_state
+from repro.stacks.base import (
+    StackAdapter,
+    collect_metrics,
+    run_measurement_phases,
+)
 from repro.stacks.population import (
     BANDWIDTH_DEMAND,
     ElasticAckDispatcher,
@@ -49,6 +57,26 @@ from repro.stacks.population import (
 )
 from repro.stacks.registry import register_stack
 from repro.traffic import FlowSink, TrafficSource
+
+#: The multi-tier table's golden-pinned key order: the common keys with
+#: the two grandfathered extras in their historical slots.
+METRIC_ORDER = (
+    "population",
+    "flows",
+    "sent",
+    "received",
+    "loss_rate",
+    "mean_delay",
+    "jitter",
+    "max_gap",
+    "handoffs",
+    "handoff_latency",
+    "blocked_attaches",
+    "attached",
+    "via_binding_fraction",
+    "elastic_goodput_bps",
+    "hop_total",
+)
 
 
 @dataclass
@@ -79,180 +107,43 @@ class BuiltScenario:
             self._collect_metrics,
         )
 
-    # ------------------------------------------------------------------
-    # Shard decomposition contract (see repro.shard)
-    # ------------------------------------------------------------------
-    #: Spatial parts a built multi-tier world decomposes into, in the
-    #: deterministic order the shard planner coalesces them.
-    SHARD_PARTS = ("radio", "cn", "home", "core")
-
-    @property
-    def sim(self) -> "Simulator":
-        """The world's simulator — uniform access for :mod:`repro.shard`
-        (the other stacks store it as a plain ``sim`` field)."""
-        return self.world.sim
-
-    def shard_part(self, node_name: str) -> str:
-        """The shard part a node belongs to, by node name.
-
-        The wired core splits into the correspondent (``cn``), the home
-        machinery (``ha`` + ``mnld``) and the ``internet`` router; every
-        other node — RSMCs, stations, picos, mobiles — is radio-side
-        (controllers hold direct references to stations of *both*
-        domains, so the radio access side is one part).  Deterministic:
-        pure name lookup.
-        """
-        if node_name == "cn":
-            return "cn"
-        if node_name in ("ha", "mnld"):
-            return "home"
-        if node_name == "internet":
-            return "core"
-        return "radio"
-
-    def shard_processes(self, part: str) -> list:
-        """Root simulation processes owned by ``part`` (for neutering).
-
-        A shard that does not own ``part`` swaps these processes'
-        generators for no-ops before time starts, so the replicated
-        world stays quiescent outside its owned region.  Deterministic:
-        fixed build-order lists.
-        """
-        if part != "radio":
-            return []
-        processes = [controller.process for controller in self.controllers]
-        if self.fluid_driver is not None:
-            processes.append(self.fluid_driver.process)
-        return processes
-
-    def harvest(self, parts) -> dict:
-        """Picklable metric state for the owned ``parts`` of this world.
-
-        The sharded merge unions one harvest per shard (summing the
-        ``hops`` section, which every shard contributes) and feeds the
-        result to :func:`metrics_from_harvest`; the monolithic path
-        harvests all parts at once and feeds the same function, so
-        shard count cannot change a formula.  Deterministic: pure
-        counter readout in build order.
-        """
-        h: dict = {"hops": self.world.protocol_hop_totals()}
-        if "cn" in parts:
-            cn = self.world.cn
-            h["packets_sent"] = [s.packets_sent for s in self.sources]
-            h["cn"] = {
-                "sent_via_binding": cn.sent_via_binding,
-                "sent_via_home": cn.sent_via_home,
-            }
-        if "radio" in parts:
-            h["sinks"] = [sink_state(plan.sink) for plan in self.flow_plans]
-            h["kinds"] = [plan.kind for plan in self.flow_plans]
-            h["mobiles"] = [
-                {
-                    "handoffs": m.handoffs_completed,
-                    "latencies": list(m.handoff_latencies),
-                    "attached": m.serving_bs is not None,
-                }
-                for m in self.mobiles
-            ]
-            h["blocked"] = sum(
-                c.blocked_attach_attempts for c in self.controllers
-            )
-            if self.world.channel_plan is not None:
-                from repro.radio.channel import DOWNLINK, UPLINK
-
-                channels = [
-                    bs.shared_channel
-                    for bs in self.world.all_radio_stations()
-                    if bs.shared_channel is not None
-                ]
-                window = self.spec.warmup + self.spec.duration + self.spec.drain
-                busiest = max(
-                    (ch.stats.busy_seconds[DOWNLINK] for ch in channels),
-                    default=0.0,
-                )
-                h["air"] = {
-                    "air_busiest_downlink": busiest / window,
-                    "air_detach_drops": float(
-                        sum(
-                            ch.stats.dropped_on_detach[DOWNLINK]
-                            + ch.stats.dropped_on_detach[UPLINK]
-                            for ch in channels
-                        )
-                    ),
-                }
-            if not self.spec.policy.is_default():
-                h["policy"] = self.world.decision_trace.metric_counts()
-            if self.fluid_driver is not None:
-                h["fluid"] = self.fluid_driver.metrics()
-        return h
-
     def _collect_metrics(self) -> dict[str, float]:
-        return metrics_from_harvest(self.spec, self.harvest(self.SHARD_PARTS))
-
-
-def metrics_from_harvest(spec: "ScenarioSpec", h: dict) -> dict[str, float]:
-    """The multi-tier metric dict from (merged) harvest state.
-
-    Exactly the historical golden-pinned collection formulas, reading
-    harvested counters instead of live objects — the monolithic
-    :meth:`BuiltScenario.execute` path routes through here too, so the
-    sharded merge and the legacy path cannot drift apart.  Metrics are
-    plain floats and never NaN, so serial-vs-parallel (and
-    shards(1)-vs-shards(N)) byte-identity is checkable with ordinary
-    equality.  Deterministic: pure arithmetic.
-    """
-    sent = sum(h["packets_sent"])
-    received = sum(s["received"] for s in h["sinks"])
-    delays = [s["mean_delay"] for s in h["sinks"] if s["received"] > 0]
-    jitters = [s["jitter"] for s in h["sinks"] if s["received"] > 1]
-    gaps = [s["max_gap"] for s in h["sinks"] if s["received"] > 1]
-    handoffs = sum(m["handoffs"] for m in h["mobiles"])
-    latencies = [
-        latency for m in h["mobiles"] for latency in m["latencies"]
-    ]
-    blocked = h["blocked"]
-    attached = sum(1 for m in h["mobiles"] if m["attached"])
-    routed = h["cn"]["sent_via_binding"] + h["cn"]["sent_via_home"]
-    goodput = [
-        state["bytes_received"] * 8.0 / spec.duration
-        for state, kind in zip(h["sinks"], h["kinds"])
-        if kind == "elastic-data"
-    ]
-    metrics = {
-        "population": float(spec.population),
-        "flows": float(len(h["kinds"])),
-        "sent": float(sent),
-        "received": float(received),
-        "loss_rate": (1.0 - received / sent) if sent else 0.0,
-        "mean_delay": (sum(delays) / len(delays)) if delays else 0.0,
-        "jitter": (sum(jitters) / len(jitters)) if jitters else 0.0,
-        "max_gap": max(gaps) if gaps else 0.0,
-        "handoffs": float(handoffs),
-        "handoff_latency": (
-            (sum(latencies) / len(latencies)) if latencies else 0.0
-        ),
-        "blocked_attaches": float(blocked),
-        "attached": float(attached),
-        "via_binding_fraction": (
-            h["cn"]["sent_via_binding"] / routed if routed else 0.0
-        ),
-        "elastic_goodput_bps": (
-            (sum(goodput) / len(goodput)) if goodput else 0.0
-        ),
-        "hop_total": float(sum(h["hops"].values())),
-    }
-    if "air" in h:
-        # Contention mode only: adding keys to a legacy run would
-        # change its rendered table and break pre-channel byte-identity.
-        metrics.update(h["air"])
-    if "policy" in h:
-        # Non-default policy block only — gated so default runs keep
-        # their table shape byte-identical.
-        metrics.update(h["policy"])
-    if "fluid" in h:
-        # Hybrid runs only: the fluid.* family (same gating rule).
-        metrics.update(h["fluid"])
-    return metrics
+        world, spec = self.world, self.spec
+        cn = world.cn
+        routed = cn.sent_via_binding + cn.sent_via_home
+        return collect_metrics(
+            spec,
+            world.network,
+            self.sources,
+            self.flow_plans,
+            handoffs=sum(mobile.handoffs_completed for mobile in self.mobiles),
+            handoff_latencies=[
+                latency
+                for mobile in self.mobiles
+                for latency in mobile.handoff_latencies
+            ],
+            attached=sum(
+                1 for mobile in self.mobiles if mobile.serving_bs is not None
+            ),
+            extras={
+                "blocked_attaches": float(
+                    sum(c.blocked_attach_attempts for c in self.controllers)
+                ),
+                "via_binding_fraction": (
+                    cn.sent_via_binding / routed if routed else 0.0
+                ),
+            },
+            channels=[bs.shared_channel for bs in world.all_radio_stations()],
+            fluid_driver=self.fluid_driver,
+            # Non-default policy block only, so default runs keep their
+            # table shape byte-identical.
+            policy=(
+                None
+                if spec.policy.is_default()
+                else world.decision_trace.metric_counts()
+            ),
+            order=METRIC_ORDER,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -386,7 +277,7 @@ def build_multitier_scenario(spec: ScenarioSpec, seed: int) -> BuiltScenario:
     # non-empty fluid block): one analytic driver over every contended
     # cell, claiming airtime the discrete cohort then contends for.
     fluid_driver = install_fluid_background(
-        world.sim, spec, world.all_radio_stations(), roam
+        world.sim, spec, fluid_channel_pairs(world.all_radio_stations()), roam
     )
 
     return BuiltScenario(
@@ -423,12 +314,6 @@ class MultiTierStack(StackAdapter):
         """Assemble the multi-tier world (see
         :func:`build_multitier_scenario`)."""
         return build_multitier_scenario(spec, seed)
-
-    def harvest_metrics(
-        self, spec: ScenarioSpec, harvest: dict
-    ) -> dict[str, float]:
-        """Metric dict from a merged shard harvest (shared formulas)."""
-        return metrics_from_harvest(spec, harvest)
 
     def exercised(self, spec: ScenarioSpec) -> list[str]:
         """Adapter features ``spec`` exercises under the multi-tier stack."""
@@ -469,5 +354,4 @@ __all__ = [
     "BuiltScenario",
     "MultiTierStack",
     "build_multitier_scenario",
-    "metrics_from_harvest",
 ]

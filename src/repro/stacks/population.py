@@ -272,24 +272,12 @@ class ElasticAckDispatcher:
 
 @dataclass
 class FlowPlan:
-    """A traffic flow scheduled to start after warmup.
-
-    ``start`` performs the whole monolithic start (sender and receiver
-    side, in the historical order).  Sharded runs split the two ends
-    across processes: the correspondent-side shard calls
-    ``start_sender`` while the mobile-side shard calls
-    ``attach_receiver`` — together they perform exactly what ``start``
-    does, so shard count cannot change flow behaviour.
-    """
+    """A traffic flow scheduled to start after warmup."""
 
     flow_id: str
     kind: str
     start: Callable[[float], TrafficSource]  # duration -> started source
     sink: FlowSink
-    #: CN-side half of ``start``: create + start the traffic source.
-    start_sender: Optional[Callable[[float], TrafficSource]] = None
-    #: Mobile-side half of ``start``: install receive hooks (elastic ack).
-    attach_receiver: Optional[Callable[[], None]] = None
 
 
 def plan_flow(
@@ -320,7 +308,7 @@ def plan_flow(
     sink = FlowSink(flow_id=flow_id)
     data_hooks.append(sink.bind(sim))
 
-    def make_source(duration: float) -> TrafficSource:
+    def start(duration: float) -> TrafficSource:
         if kind == "cbr-voice":
             source = CBRSource(
                 sim, send, src_address, dst_address,
@@ -354,33 +342,12 @@ def plan_flow(
                 packet_size=1000, duration=duration, flow_id=flow_id,
             )
             ack_dispatcher.register(source)
+            data_hooks.append(make_ack_hook(sim, ack_reply, flow_id=flow_id))
         else:  # pragma: no cover - spec validation rejects this earlier
             raise ValueError(f"unknown traffic kind {kind!r}")
-        return source
-
-    def attach_receiver() -> None:
-        if kind == "elastic-data":
-            data_hooks.append(make_ack_hook(sim, ack_reply, flow_id=flow_id))
-
-    def start_sender(duration: float) -> TrafficSource:
-        return make_source(duration).start()
-
-    def start(duration: float) -> TrafficSource:
-        # Historical monolithic order: create + register the source,
-        # install the mobile-side hook, then start — preserved exactly
-        # so legacy runs stay byte-identical.
-        source = make_source(duration)
-        attach_receiver()
         return source.start()
 
-    return FlowPlan(
-        flow_id=flow_id,
-        kind=kind,
-        start=start,
-        sink=sink,
-        start_sender=start_sender,
-        attach_receiver=attach_receiver,
-    )
+    return FlowPlan(flow_id=flow_id, kind=kind, start=start, sink=sink)
 
 
 __all__ = [

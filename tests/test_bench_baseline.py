@@ -51,24 +51,24 @@ def test_baseline_covers_kernel_and_every_stack():
         )
 
 
-def test_baseline_covers_shard_scaling_curve():
-    """Every point of the shard-scaling curve (see
-    ``benchmarks/bench_shard_scaling.py``) has a baseline entry, so the
-    CI tolerance gate covers the conservative-sync overhead too."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_shard_scaling", REPO / "benchmarks" / "bench_shard_scaling.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert module.SHARD_COUNTS == (1, 2, 4)
-
-    entries = json.loads(BASELINE.read_text())["entries"]
-    for shards in module.SHARD_COUNTS:
-        key = f"test_bench_shard_scaling[{shards}]"
-        assert key in entries, (
-            f"shard count {shards} has no baseline entry; re-run "
-            f"tools/update_bench_baseline.py"
-        )
+def test_check_reports_entries_of_uncollected_bench_files():
+    """``merge`` keeps entries it did not re-collect, so ``check`` must
+    flag an entry whose bench file is no longer collected."""
+    tool = _load_tool()
+    baseline = json.loads(BASELINE.read_text())
+    for entry in baseline["entries"].values():
+        assert entry["file"] in tool.BENCH_FILES
+    stale = json.loads(BASELINE.read_text())
+    stale["entries"]["test_bench_gone"] = {
+        "file": "benchmarks/bench_gone.py",
+        "stats": {"min": 1.0, "max": 1.0, "mean": 1.0,
+                  "stddev": 0.0, "rounds": 1},
+    }
+    problems = tool.check(stale)
+    assert problems == [
+        "test_bench_gone: stale entry, benchmarks/bench_gone.py is not a "
+        "collected bench file (delete the entry)"
+    ]
 
 
 def _report(name, mean):

@@ -232,6 +232,29 @@ def test_router_counts_unroutable():
     assert router.dropped_no_route == 1
 
 
+def test_host_counts_local_packet_without_handler():
+    sim = Simulator()
+    host = Node(sim, "h", "10.0.0.2")
+    handled = []
+    host.on_protocol("data", lambda packet, link: handled.append(packet))
+    host.receive(make_packet(dst="10.0.0.2", protocol="data"))
+    host.receive(make_packet(dst="10.0.0.2", protocol="ack"))
+    assert len(handled) == 1
+    assert host.dropped_no_handler == 1
+    host.on_default(lambda packet, link: handled.append(packet))
+    host.receive(make_packet(dst="10.0.0.2", protocol="ack"))
+    assert len(handled) == 2
+    assert host.dropped_no_handler == 1
+
+
+def test_host_counts_transit_packet_it_cannot_forward():
+    sim = Simulator()
+    host = Node(sim, "h", "10.0.0.2")
+    host.receive(make_packet(dst="10.0.0.9"))
+    assert host.dropped_not_forwarded == 1
+    assert host.dropped_no_handler == 0
+
+
 # ----------------------------------------------------------------------
 # Topology helpers
 # ----------------------------------------------------------------------

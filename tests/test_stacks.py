@@ -21,6 +21,7 @@ import pathlib
 import pytest
 
 from repro.experiments.exec import ProcessPoolBackend, SerialBackend
+from repro.policy import POLICY_METRIC_KEYS
 from repro.scenarios import (
     compare_scenario_stacks,
     format_stack_comparison,
@@ -93,16 +94,92 @@ def test_smoke_and_derived_specs_preserve_stack():
 # ----------------------------------------------------------------------
 # Metric contract
 # ----------------------------------------------------------------------
+_TRAFFIC_KEYS = (
+    "population",
+    "flows",
+    "sent",
+    "received",
+    "loss_rate",
+    "mean_delay",
+    "jitter",
+    "max_gap",
+)
+_FLAT_KEYS = _TRAFFIC_KEYS + (
+    "elastic_goodput_bps",
+    "handoffs",
+    "handoff_latency",
+    "attached",
+    "hop_total",
+)
+_CIP_KEYS = _FLAT_KEYS + (
+    "cip.route_updates",
+    "cip.paging_updates",
+    "cip.duplicates",
+    "cip.control_packets",
+    "cip.downlink_drops",
+    "cip.paging_broadcasts",
+)
+#: The exact metric key order each stack renders (tables print dicts
+#: in insertion order), as emitted before the collection code was
+#: folded into one path.
+METRIC_KEYS = {
+    "multitier": _TRAFFIC_KEYS + (
+        "handoffs",
+        "handoff_latency",
+        "blocked_attaches",
+        "attached",
+        "via_binding_fraction",
+        "elastic_goodput_bps",
+        "hop_total",
+    ),
+    "cellularip": _CIP_KEYS,
+    "cellularip-hard": _CIP_KEYS,
+    "mobileip": _FLAT_KEYS + (
+        "mip.registration_attempts",
+        "mip.registrations_accepted",
+        "mip.registrations_denied",
+        "mip.tunneled",
+        "mip.dropped_no_binding",
+        "mip.dropped_unknown_visitor",
+    ),
+}
+_AIR_KEYS = ("air_busiest_downlink", "air_detach_drops")
+_FLUID_KEYS = (
+    "fluid.background_population",
+    "fluid.updates",
+    "fluid.peak_cell_load",
+    "fluid.mean_blocking",
+    "fluid.handoff_rate",
+)
+
+
 @pytest.mark.parametrize("stack", ALL_STACKS)
 def test_stack_emits_common_metrics_as_plain_floats(stack):
-    metrics = run_scenario_spec(_smoke(stack=stack), seed=2)
-    for name in COMMON_METRICS:
-        assert name in metrics, f"{stack} lacks common metric {name}"
-    for name, value in metrics.items():
-        assert isinstance(value, float), f"{stack}:{name}"
-        assert value == value, f"{stack}:{name} is NaN"
-    assert metrics["population"] == float(_smoke().population)
-    assert metrics["sent"] > 0
+    # A legacy spec, then shared channels plus a fluid block, then the
+    # same with a non-default policy block (multi-tier policy.* keys).
+    specs = [
+        _smoke("campus-dense", stack=stack),
+        _smoke("metro-100k", stack=stack),
+        _smoke("metro-100k", stack=stack).replace(
+            policy={"mode": "always-micro"}
+        ),
+    ]
+    for spec in specs:
+        metrics = run_scenario_spec(spec, seed=2)
+        for name in COMMON_METRICS:
+            assert name in metrics, f"{stack} lacks common metric {name}"
+        for name, value in metrics.items():
+            assert isinstance(value, float), f"{stack}:{name}"
+            assert value == value, f"{stack}:{name} is NaN"
+        expected = METRIC_KEYS[stack]
+        if spec.fluid is not None:
+            if stack == DEFAULT_STACK and not spec.policy.is_default():
+                expected += _AIR_KEYS + POLICY_METRIC_KEYS + _FLUID_KEYS
+            else:
+                expected += _AIR_KEYS + _FLUID_KEYS
+        assert list(metrics) == list(expected), f"{stack} on {spec.name}"
+        assert metrics["population"] == float(spec.population)
+        assert metrics["sent"] > 0
 
 
 @pytest.mark.parametrize(

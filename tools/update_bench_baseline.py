@@ -23,8 +23,9 @@ appends a **trajectory point** (per-bench means, datetime, optional
 across PRs stays readable instead of being overwritten.  ``--check``
 validates the committed file's shape without running anything (used by
 the test suite): it must parse, carry the schema version, every entry
-must have the numeric stats fields, and the trajectory must be a
-non-empty list of well-formed points.
+must have the numeric stats fields and come from one of
+:data:`BENCH_FILES`, and the trajectory must be a non-empty list of
+well-formed points.
 
 Timings are machine-dependent by nature; the baseline records them for
 trend reading, while the *shape* (which benchmarks exist, how they are
@@ -53,7 +54,6 @@ BASELINE = REPO / "benchmarks" / "BENCH_kernel.json"
 BENCH_FILES = (
     "benchmarks/bench_kernel_throughput.py",
     "benchmarks/bench_scenario_stacks.py",
-    "benchmarks/bench_shard_scaling.py",
 )
 
 SCHEMA = 2
@@ -163,6 +163,13 @@ def check(baseline: dict) -> list[str]:
                 problems.append(f"{name}: stats.{field} missing or non-numeric")
         if not isinstance(entry.get("file"), str) or not entry["file"]:
             problems.append(f"{name}: missing source file")
+        elif entry["file"] not in BENCH_FILES:
+            # merge() keeps entries it did not re-collect, so an entry
+            # of a deleted or renamed bench file would linger forever.
+            problems.append(
+                f"{name}: stale entry, {entry['file']} is not a collected "
+                f"bench file (delete the entry)"
+            )
     trajectory = baseline.get("trajectory")
     if not isinstance(trajectory, list) or not trajectory:
         problems.append(
