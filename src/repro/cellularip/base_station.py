@@ -248,23 +248,23 @@ class CIPBaseStation(Node):
 
         hops = self.routing_cache.lookup(destination)
         if hops:
-            self._fan_out(packet, hops)
+            self._send_to_hops(packet, hops)
             return
 
         hops = self.paging_cache.lookup(destination)
         if hops:
-            self._fan_out(packet, hops)
+            self._send_to_hops(packet, hops)
             return
 
         if self.domain.broadcast_paging and self.children:
             # Paging fallback: flood to every downlink neighbor.
             self.paging_broadcasts += 1
-            self._fan_out(packet, list(self.children))
+            self._send_to_hops(packet, list(self.children))
             return
 
         self.dropped_no_route += 1
 
-    def _fan_out(self, packet: Packet, hops: list[Node]) -> None:
+    def _send_to_hops(self, packet: Packet, hops: list[Node]) -> None:
         live = [hop for hop in hops if hop in self.links]
         if not live:
             # Cached mapping points at a departed mobile's dead radio link.

@@ -194,6 +194,7 @@ class CIPMobileHost(Node):
             self.data_received += 1
             for hook in self.on_data:
                 hook(packet)
+            return
         super().deliver_local(packet, link)
 
     def _remember(self, key: int, window: int = 4096) -> None:

@@ -21,7 +21,7 @@ from typing import Optional
 from repro.cellularip import CIPBaseStation, CIPDomain, CIPGateway, CIPMobileHost
 from repro.mobileip import ForeignAgent, HomeAgent, MobileIPNode, install_home_prefix_routes
 from repro.multitier.architecture import MultiTierWorld
-from repro.net import Network, Packet, Router, ip
+from repro.net import Network, Router, ip
 from repro.sim import Simulator
 from repro.traffic import CBRSource, FlowSink
 
@@ -106,12 +106,10 @@ def run_mobileip(
     agents[0].attach_mobile(mn)
     sim.run(until=1.0)
 
-    hooks = []
-    mn.on_protocol("data", lambda packet, link: _fire(hooks, packet))
     source, sink = _stream_and_measure(
         sim,
         lambda packet: core.receive(packet) or True,
-        hooks,
+        mn.on_data,
         cn.address,
         mn.home_address,
         duration,
@@ -130,11 +128,6 @@ def run_mobileip(
     sim.process(mover())
     sim.run(until=1.0 + duration + 4.0)
     return _metrics(source, sink, handoffs)
-
-
-def _fire(hooks: list, packet: Packet) -> None:
-    for hook in hooks:
-        hook(packet)
 
 
 # ----------------------------------------------------------------------

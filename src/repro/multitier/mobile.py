@@ -255,4 +255,5 @@ class MultiTierMobileNode(Node):
             self.data_received += 1
             for hook in self.on_data:
                 hook(packet)
+            return
         super().deliver_local(packet, link)

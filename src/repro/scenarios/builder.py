@@ -1,18 +1,17 @@
 """Instantiate a :class:`~repro.scenarios.spec.ScenarioSpec` into a
 ready-to-run world under its protocol stack, and execute it.
 
-Since the stacks refactor this module is a thin dispatcher: the
-world-assembly logic lives in the stack adapters under
-:mod:`repro.stacks` (the multi-tier code moved verbatim to
-:mod:`repro.stacks.multitier`), and :func:`build_scenario` routes a
-spec to the adapter named by its ``stack`` field (default
-``"multitier"``).  Every adapter instantiates the *same* seeded
-population and traffic plan (:mod:`repro.stacks.population`), so runs
+This module is a thin dispatcher: :func:`build_scenario` routes a spec
+to the stack adapter named by its ``stack`` field (default
+``"multitier"``; see :mod:`repro.stacks`).  Every adapter plans one
+:class:`~repro.stacks.population.Population` from ``(spec, seed)`` and
+returns a :class:`~repro.stacks.base.BuiltRun` — its stack's world
+handles plus the shared mobiles, controllers and flow plans — so runs
 of different stacks at one seed are directly comparable.
 
 :func:`run_scenario_spec` is the execution-engine job entry point: it
 builds, runs warmup → traffic → drain, and returns a plain-float metric
-dict, which is exactly what the PR 1 backends require for their
+dict, which is exactly what the execution backends require for their
 ordered-deterministic aggregation guarantee.
 
 Determinism: dispatch is pure table lookup; each adapter derives all
@@ -20,8 +19,7 @@ randomness from the run seed through named
 :class:`~repro.sim.rng.RandomStreams`, so one ``(spec, seed)`` pair —
 stack field included — returns byte-identical metrics in any process,
 on any execution backend.  ``stack="multitier"`` output is pinned
-byte-for-byte to the pre-refactor builder by the
-``results/scenarios_smoke/`` goldens.
+byte-for-byte by the ``results/scenarios_smoke/`` goldens.
 """
 
 from __future__ import annotations
@@ -51,10 +49,10 @@ def build_scenario(spec: ScenarioSpec, seed: int):
 
     Returns
     -------
-    StackRun
+    BuiltRun
         The assembled (not yet run) world — a
         :class:`~repro.stacks.multitier.BuiltScenario` for the default
-        stack — with an ``execute()`` method returning the metric dict.
+        stack — whose ``execute()`` returns the metric dict.
     """
     return get_stack(spec.stack).build(spec, seed)
 

@@ -136,7 +136,7 @@ class ScenarioSweep:
         resulting curve reads left to right without reordering).
     metrics:
         Metric names extracted from each run's metric dict into the
-        figure's series (see :func:`repro.stacks.base.collect_metrics`
+        figure's series (see :meth:`repro.stacks.base.BuiltRun.collect_metrics`
         for the available names).
     seeds:
         Seeds replicated at *every* axis point; ``None`` uses the base

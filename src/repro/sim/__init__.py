@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.sim import Simulator, Interrupt, Resource, Store
+    from repro.sim import Simulator, Interrupt, Resource
 
     sim = Simulator()
     sim.process(my_generator(sim))
@@ -13,7 +13,6 @@ from repro.sim.errors import EmptySchedule, Interrupt, SimulationError
 from repro.sim.events import (
     NORMAL,
     URGENT,
-    AllOf,
     AnyOf,
     Condition,
     ConditionValue,
@@ -22,34 +21,24 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import Counter, Monitor, Series, TimeWeightedGauge
-from repro.sim.resources import GuardedChannelPool, Preempted, Request, Resource
+from repro.sim.resources import GuardedChannelPool, Request, Resource
 from repro.sim.rng import RandomStreams
-from repro.sim.stores import FilterStore, Store
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Counter",
     "EmptySchedule",
     "Event",
-    "FilterStore",
     "GuardedChannelPool",
     "Interrupt",
-    "Monitor",
     "NORMAL",
-    "Preempted",
     "Process",
     "RandomStreams",
     "Request",
     "Resource",
-    "Series",
     "SimulationError",
     "Simulator",
-    "Store",
-    "TimeWeightedGauge",
     "Timeout",
     "URGENT",
 ]

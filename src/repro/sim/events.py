@@ -3,9 +3,9 @@
 The design follows the classic generator-based discrete-event pattern:
 an :class:`Event` is a one-shot occurrence with a value; a
 :class:`Process` wraps a generator that ``yield``\\ s events and is
-resumed when the yielded event is processed.  Composite conditions
-(:class:`AnyOf` / :class:`AllOf`) make it easy to wait on several events
-at once.
+resumed when the yielded event is processed.  The composite
+:class:`AnyOf` condition waits for the first of several events (the
+wait-with-timeout idiom of the protocol code).
 """
 
 from __future__ import annotations
@@ -374,23 +374,9 @@ class Condition(Event):
             self.succeed(self._build_value())
 
 
-def all_events(events: list[Event], count: int) -> bool:
-    """Evaluator for :class:`AllOf`: every sub-event has been processed."""
-    return count == len(events)
-
-
 def any_events(events: list[Event], count: int) -> bool:
     """Evaluator for :class:`AnyOf`: at least one sub-event processed."""
     return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Condition that triggers once *all* of ``events`` have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, all_events, events)
 
 
 class AnyOf(Condition):

@@ -1,5 +1,5 @@
-"""Shared-resource primitives: capacity-limited resources with priority
-queueing and optional preemption.
+"""Shared-resource primitives: capacity-limited resources with FIFO
+queueing.
 
 These model radio channels, processing slots and any other contended
 facility.  Usage follows the familiar request/release protocol::
@@ -28,45 +28,21 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import TYPE_CHECKING, Optional
 
-from repro.sim.events import Event, Process
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
 
-class Preempted:
-    """Cause object delivered with the Interrupt when a user is preempted."""
-
-    __slots__ = ("by", "usage_since")
-
-    def __init__(self, by: "Request", usage_since: float) -> None:
-        #: The request that preempted us.
-        self.by = by
-        #: Simulation time at which the preempted user acquired the resource.
-        self.usage_since = usage_since
-
-    def __repr__(self) -> str:
-        return f"<Preempted by={self.by!r} since={self.usage_since}>"
-
-
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
 
-    __slots__ = ("resource", "priority", "preempt", "time", "process", "usage_since")
+    __slots__ = ("resource", "time")
 
-    def __init__(
-        self, resource: "Resource", priority: int = 0, preempt: bool = False
-    ) -> None:
+    def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.sim)
         self.resource = resource
-        #: Numerically smaller priorities are served first.
-        self.priority = priority
-        self.preempt = preempt
         self.time = resource.sim.now
-        #: The process that issued the request (None outside a process).
-        self.process: Optional[Process] = resource.sim.active_process
-        #: When the request was granted, for preemption bookkeeping.
-        self.usage_since: Optional[float] = None
         resource._do_request(self)
 
     def __enter__(self) -> "Request":
@@ -77,24 +53,22 @@ class Request(Event):
 
     # Sort key for the wait queue.
     def _key(self) -> tuple:
-        return (self.priority, self.time, not self.preempt)
+        return (self.time,)
 
 
 class Resource:
-    """A capacity-limited resource with priority queueing.
+    """A capacity-limited resource with FIFO queueing.
 
     ``capacity`` slots may be held simultaneously.  Waiting requests are
-    served in (priority, arrival-time) order.  With ``preemptive=True``,
-    a request carrying ``preempt=True`` evicts the lowest-priority
-    current user if that user's priority is strictly worse.
+    served in arrival order (subclasses may re-key the queue through
+    :meth:`Request._key`).
     """
 
-    def __init__(self, sim: "Simulator", capacity: int = 1, preemptive: bool = False):
+    def __init__(self, sim: "Simulator", capacity: int = 1):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.sim = sim
         self._capacity = capacity
-        self._preemptive = preemptive
         self.users: list[Request] = []
         self._queue: list[tuple[tuple, int, Request]] = []
         self._tiebreak = count()
@@ -120,11 +94,9 @@ class Resource:
         return len(self._queue)
 
     # ------------------------------------------------------------------
-    def request(self, priority: int = 0, preempt: bool = False) -> Request:
+    def request(self) -> Request:
         """Claim a slot; the returned event triggers once granted."""
-        if preempt and not self._preemptive:
-            raise ValueError("preempt=True on a non-preemptive resource")
-        return Request(self, priority=priority, preempt=preempt)
+        return Request(self)
 
     def release(self, request: Request) -> None:
         """Return a slot (or cancel a waiting request)."""
@@ -140,29 +112,9 @@ class Resource:
         if len(self.users) < self._capacity:
             self._grant(request)
             return
-        if self._preemptive and request.preempt:
-            victim = self._preemption_victim(request)
-            if victim is not None:
-                self.users.remove(victim)
-                if victim.process is not None and victim.process.is_alive:
-                    victim.process.interrupt(
-                        Preempted(by=request, usage_since=victim.usage_since or 0.0)
-                    )
-                self._grant(request)
-                return
         heappush(self._queue, (request._key(), next(self._tiebreak), request))
 
-    def _preemption_victim(self, request: Request) -> Optional[Request]:
-        """The current user to evict for ``request``, or None."""
-        if not self.users:
-            return None
-        victim = max(self.users, key=lambda user: (user.priority, user.time))
-        if victim.priority > request.priority:
-            return victim
-        return None
-
     def _grant(self, request: Request) -> None:
-        request.usage_since = self.sim.now
         self.users.append(request)
         request.succeed(request)
 

@@ -17,8 +17,8 @@ Shipped stacks (registered on import, in this order):
 * ``mobileip`` — flat Mobile IP, one FA per cell, full home
   registration per move.
 
-All three instantiate the *same* seeded population and traffic plan
-(:mod:`repro.stacks.population`), which is what makes
+All three build from the *same* seeded
+:class:`~repro.stacks.population.Population`, which is what makes
 ``repro scenario run <name> --stack all`` an apples-to-apples,
 Table-1-style protocol comparison at catalog scale.
 
@@ -27,12 +27,8 @@ named streams; one ``(stack, spec, seed)`` triple returns
 byte-identical metrics on any execution backend.
 """
 
-from repro.stacks.base import (
-    COMMON_METRICS,
-    StackAdapter,
-    StackRun,
-    collect_metrics,
-)
+from repro.stacks.base import COMMON_METRICS, BuiltRun, StackAdapter
+from repro.stacks.population import Population
 from repro.stacks.registry import (
     DEFAULT_STACK,
     get_stack,
@@ -62,16 +58,16 @@ __all__ = [
     "DEFAULT_STACK",
     "BuiltCIPScenario",
     "BuiltMIPScenario",
+    "BuiltRun",
     "BuiltScenario",
     "CellularIPStack",
     "MobileIPStack",
     "MultiTierStack",
+    "Population",
     "StackAdapter",
-    "StackRun",
     "build_cip_scenario",
     "build_mip_scenario",
     "build_multitier_scenario",
-    "collect_metrics",
     "get_stack",
     "is_registered",
     "iter_stacks",

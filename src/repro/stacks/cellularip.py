@@ -18,8 +18,8 @@ multi-tier stack), and the semisoft dual-path interval briefly holds
 airtime claims on both cells — apples-to-apples with the other stacks'
 air interface.
 
-Determinism: the same population plan and stream names as every stack
-(:mod:`repro.stacks.population`); controllers decide from seeded
+Determinism: the same :class:`~repro.stacks.population.Population` and
+stream names as every stack; controllers decide from seeded
 models and pure signal surveys.  One ``(spec, seed)`` pair returns
 byte-identical metrics on any execution backend.
 """
@@ -27,35 +27,21 @@ byte-identical metrics on any execution backend.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.cellularip import CIPBaseStation, CIPDomain, CIPGateway, CIPMobileHost
-from repro.fluid.driver import FluidDriver, install_fluid_background
+from repro.fluid.driver import install_fluid_background
 from repro.net.addressing import AddressAllocator
 from repro.net.packet import Packet
 from repro.net.topology import Network
 from repro.radio.cells import Cell
 from repro.radio.channel import ChannelPlan
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomStreams
-from repro.stacks.base import (
-    StackAdapter,
-    collect_metrics,
-    run_measurement_phases,
-)
+from repro.stacks.base import BuiltRun, StackAdapter
 from repro.stacks.flat import FlatMobilityController, flat_cell_layout
-from repro.stacks.population import (
-    ElasticAckDispatcher,
-    FlowPlan,
-    assignments,
-    make_mobility,
-    plan_flow,
-    roam_rectangle,
-    start_positions,
-)
+from repro.stacks.population import ElasticAckDispatcher, Population
 from repro.stacks.registry import register_stack
-from repro.traffic import FlowSink, TrafficSource
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
     from repro.scenarios.spec import ScenarioSpec
@@ -98,40 +84,16 @@ class _CIPController(FlatMobilityController):
             self.host.handoff_hard(station)
 
 
-@dataclass
-class BuiltCIPScenario:
+@dataclass(kw_only=True)
+class BuiltCIPScenario(BuiltRun):
     """A fully assembled Cellular IP world plus its planned traffic."""
 
-    spec: ScenarioSpec
-    seed: int
-    sim: Simulator
-    network: Network
     domain: CIPDomain
-    hosts: list[CIPMobileHost]
-    controllers: list[_CIPController]
-    flow_plans: list[FlowPlan]
-    fluid_driver: Optional[FluidDriver] = None
-    sources: list[TrafficSource] = field(default_factory=list)
-    sinks: list[FlowSink] = field(default_factory=list)
 
-    def execute(self) -> dict[str, float]:
-        """Run warmup → traffic window → drain; return the metric dict."""
-        return run_measurement_phases(
-            self.sim,
-            self.spec,
-            self.flow_plans,
-            self.sources,
-            self.sinks,
-            self._collect_metrics,
-        )
-
-    def _collect_metrics(self) -> dict[str, float]:
-        hosts, stations = self.hosts, self.domain.base_stations
-        return collect_metrics(
-            self.spec,
-            self.network,
-            self.sources,
-            self.flow_plans,
+    def collect(self) -> dict[str, float]:
+        """The common metrics plus the namespaced ``cip.*`` extras."""
+        hosts, stations = self.mobiles, self.domain.base_stations
+        return self.collect_metrics(
             handoffs=sum(host.handoffs_completed for host in hosts),
             handoff_latencies=[
                 latency
@@ -159,7 +121,6 @@ class BuiltCIPScenario:
                 ),
             },
             channels=[bs.shared_channel for bs in stations],
-            fluid_driver=self.fluid_driver,
         )
 
 
@@ -175,13 +136,8 @@ def build_cip_scenario(
     shared plan, so the run is directly comparable to the other stacks
     at the same seed.  Deterministic: seeded streams only.
     """
-    streams = RandomStreams(int(seed))
+    population = Population.plan(spec, seed)
     sim = Simulator()
-    roam = roam_rectangle(spec)
-    mobility_assignment, traffic_assignment, hotspot_indices = assignments(
-        spec, streams
-    )
-    starts = start_positions(spec, streams, roam)
 
     overrides = {
         key: value
@@ -204,9 +160,7 @@ def build_cip_scenario(
         if spec.channels_enabled()
         else None
     )
-    layout = flat_cell_layout(
-        spec, starts, mobility_assignment, traffic_assignment
-    )
+    layout = flat_cell_layout(spec, population)
     stations: dict[str, CIPBaseStation] = {}
     stations_by_cell: dict[str, CIPBaseStation] = {}
     cells: list[Cell] = []
@@ -240,9 +194,7 @@ def build_cip_scenario(
     mobile_allocator = AddressAllocator(MOBILE_PREFIX)
     hosts: list[CIPMobileHost] = []
     controllers: list[_CIPController] = []
-    flow_plans: list[FlowPlan] = []
     for index in range(spec.population):
-        kind = traffic_assignment[index]
         host = CIPMobileHost(
             sim,
             f"mn{index}",
@@ -250,12 +202,9 @@ def build_cip_scenario(
             domain,
             airtime_key=index,
         )
-        model = make_mobility(
-            mobility_assignment[index], index, streams, roam, starts[index]
-        )
         controllers.append(_CIPController(
             sim,
-            model,
+            population.model(index),
             host,
             stations_by_cell,
             semisoft,
@@ -263,35 +212,10 @@ def build_cip_scenario(
             sample_period=spec.sample_period,
         ))
         hosts.append(host)
-        plan = plan_flow(
-            sim,
-            kind,
-            f"{spec.name}.mn{index}",
-            streams,
-            ack_dispatcher,
-            downlink,
-            host.on_data,
-            host.originate,
-            cn.address,
-            host.address,
-        )
-        if plan is not None:
-            flow_plans.append(plan)
-    # Flash-crowd hotspots: extra simultaneous correspondent flows.
-    for index in hotspot_indices:
-        for flow in range(spec.hotspot_flows):
-            flow_plans.append(plan_flow(
-                sim,
-                "poisson-data",
-                f"{spec.name}.mn{index}.hot{flow}",
-                streams,
-                ack_dispatcher,
-                downlink,
-                hosts[index].on_data,
-                hosts[index].originate,
-                cn.address,
-                hosts[index].address,
-            ))
+    flow_plans = population.plan_flows(
+        sim, ack_dispatcher, hosts, downlink, cn.address,
+        lambda host: host.address,
+    )
 
     # Hybrid background: analytic claims on every contended flat cell
     # (CIP stations don't carry their cell, so the pairs are zipped here).
@@ -299,7 +223,7 @@ def build_cip_scenario(
         sim,
         spec,
         [(cell, stations_by_cell[cell.name].shared_channel) for cell in cells],
-        roam,
+        population.roam,
     )
 
     return BuiltCIPScenario(
@@ -307,8 +231,9 @@ def build_cip_scenario(
         seed=int(seed),
         sim=sim,
         network=network,
+        population=population,
         domain=domain,
-        hosts=hosts,
+        mobiles=hosts,
         controllers=controllers,
         flow_plans=flow_plans,
         fluid_driver=fluid_driver,

@@ -9,9 +9,9 @@ produces that site list from a spec, and
 classic strongest-signal + hysteresis rule (the baseline the paper's
 three-factor decision is compared against).
 
-Determinism: the layout is a pure function of ``(spec, starts,
-assignments)``; the controller samples the (seeded) mobility model on a
-fixed period and decides from :class:`~repro.radio.signal.SignalMeter`
+Determinism: the layout is a pure function of ``(spec, population)``;
+the controller samples the (seeded) mobility model on a fixed period
+and decides from :class:`~repro.radio.signal.SignalMeter`
 surveys only — same ``(spec, seed)``, same handoff schedule, in any
 process, on any execution backend.
 """
@@ -25,12 +25,12 @@ from repro.radio.cells import Cell, Tier
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
 from repro.radio.signal import SignalMeter
-from repro.stacks.population import pico_placements
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mobility import MobilityModel
     from repro.scenarios.spec import ScenarioSpec
     from repro.sim.kernel import Simulator
+    from repro.stacks.population import Population
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,7 @@ _PICO_LEAVES = ("B", "C", "E", "F")
 
 
 def flat_cell_layout(
-    spec: "ScenarioSpec",
-    starts: Optional[list[Point]] = None,
-    mobility_assignment: Optional[list[str]] = None,
-    traffic_assignment: Optional[list[str]] = None,
+    spec: "ScenarioSpec", population: "Population"
 ) -> list[FlatSite]:
     """The baseline deployments' site list for ``spec``.
 
@@ -90,11 +87,10 @@ def flat_cell_layout(
     macro umbrellas (radius 2500 m), micro street cells (400 m), and
     ``spec.pico_cells`` picos (60 m) placed by the SAME shared rule the
     multi-tier builder uses
-    (:func:`~repro.stacks.population.pico_placements`: fixed offsets
-    under the micro leaves in legacy mode, seeded population
-    concentration points — requiring ``starts`` and the assignments —
-    when contention is enabled).  Deterministic: pure function of its
-    inputs.
+    (:meth:`~repro.stacks.population.Population.pico_placements`: fixed
+    offsets under the micro leaves in legacy mode, the population's
+    seeded concentration points when contention is enabled).
+    Deterministic: pure function of its inputs.
     """
     sites: list[FlatSite] = []
     macro = list(_MACRO_SITES) + (
@@ -110,10 +106,9 @@ def flat_cell_layout(
 
     micro_by_name = {name: center for name, center, _ in micro}
     leaf_centers = {name: micro_by_name[name] for name in _PICO_LEAVES}
-    placements = pico_placements(
-        spec, starts, mobility_assignment, traffic_assignment, leaf_centers
-    )
-    for pico, (parent, center) in enumerate(placements):
+    for pico, (parent, center) in enumerate(
+        population.pico_placements(leaf_centers)
+    ):
         sites.append(FlatSite(f"p{pico}", Tier.PICO, center, 60.0, parent))
     return sites
 

@@ -14,16 +14,16 @@ per-tier :class:`~repro.radio.channel.SharedChannel`, so downlink
 deliveries *and* the mobiles' uplink — registration requests included
 — contend for airtime exactly like the other stacks.
 
-Determinism: the same population plan and stream names as every stack
-(:mod:`repro.stacks.population`); controllers decide from seeded
+Determinism: the same :class:`~repro.stacks.population.Population` and
+stream names as every stack; controllers decide from seeded
 models and pure signal surveys.  One ``(spec, seed)`` pair returns
 byte-identical metrics on any execution backend.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.mobileip import (
     ForeignAgent,
@@ -32,31 +32,17 @@ from repro.mobileip import (
     install_home_prefix_routes,
 )
 from repro.multitier.architecture import HOME_PREFIX
-from repro.fluid.driver import FluidDriver, install_fluid_background
+from repro.fluid.driver import install_fluid_background
 from repro.net.addressing import AddressAllocator
 from repro.net.packet import Packet
 from repro.net.topology import Network
 from repro.radio.cells import Cell
 from repro.radio.channel import ChannelPlan
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomStreams
-from repro.stacks.base import (
-    StackAdapter,
-    collect_metrics,
-    run_measurement_phases,
-)
+from repro.stacks.base import BuiltRun, StackAdapter
 from repro.stacks.flat import FlatMobilityController, flat_cell_layout
-from repro.stacks.population import (
-    ElasticAckDispatcher,
-    FlowPlan,
-    assignments,
-    make_mobility,
-    plan_flow,
-    roam_rectangle,
-    start_positions,
-)
+from repro.stacks.population import ElasticAckDispatcher, Population
 from repro.stacks.registry import register_stack
-from repro.traffic import FlowSink, TrafficSource
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
     from repro.scenarios.spec import ScenarioSpec
@@ -98,41 +84,17 @@ class _MIPController(FlatMobilityController):
         yield  # pragma: no cover - generator protocol
 
 
-@dataclass
-class BuiltMIPScenario:
+@dataclass(kw_only=True)
+class BuiltMIPScenario(BuiltRun):
     """A fully assembled Mobile IP world plus its planned traffic."""
 
-    spec: ScenarioSpec
-    seed: int
-    sim: Simulator
-    network: Network
     home_agent: HomeAgent
     agents: list[ForeignAgent]
-    nodes: list[MobileIPNode]
-    controllers: list[_MIPController]
-    flow_plans: list[FlowPlan]
-    fluid_driver: Optional[FluidDriver] = None
-    sources: list[TrafficSource] = field(default_factory=list)
-    sinks: list[FlowSink] = field(default_factory=list)
 
-    def execute(self) -> dict[str, float]:
-        """Run warmup → traffic window → drain; return the metric dict."""
-        return run_measurement_phases(
-            self.sim,
-            self.spec,
-            self.flow_plans,
-            self.sources,
-            self.sinks,
-            self._collect_metrics,
-        )
-
-    def _collect_metrics(self) -> dict[str, float]:
-        home_agent, nodes = self.home_agent, self.nodes
-        return collect_metrics(
-            self.spec,
-            self.network,
-            self.sources,
-            self.flow_plans,
+    def collect(self) -> dict[str, float]:
+        """The common metrics plus the namespaced ``mip.*`` extras."""
+        home_agent, nodes = self.home_agent, self.mobiles
+        return self.collect_metrics(
             handoffs=sum(controller.handoffs for controller in self.controllers),
             # Mobile IP re-establishes routing via home registration, so
             # the registration round-trip IS the handoff latency.
@@ -164,7 +126,6 @@ class BuiltMIPScenario:
                 ),
             },
             channels=[agent.shared_channel for agent in self.agents],
-            fluid_driver=self.fluid_driver,
         )
 
 
@@ -182,13 +143,8 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
     the remaining overrides are multi-tier-specific and ignored here.
     Deterministic: seeded streams only.
     """
-    streams = RandomStreams(int(seed))
+    population = Population.plan(spec, seed)
     sim = Simulator()
-    roam = roam_rectangle(spec)
-    mobility_assignment, traffic_assignment, hotspot_indices = assignments(
-        spec, streams
-    )
-    starts = start_positions(spec, streams, roam)
 
     network = Network(sim, prefix="10.0.0.0/8")
     core = network.router("internet")
@@ -223,9 +179,7 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
     wired_delay = float(
         spec.domain_overrides.get("wired_delay", _INTERNET_DELAY)
     )
-    layout = flat_cell_layout(
-        spec, starts, mobility_assignment, traffic_assignment
-    )
+    layout = flat_cell_layout(spec, population)
     agents: list[ForeignAgent] = []
     agents_by_cell: dict[str, ForeignAgent] = {}
     cells: list[Cell] = []
@@ -262,13 +216,7 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
     home_allocator = AddressAllocator(HOME_PREFIX)
     nodes: list[MobileIPNode] = []
     controllers: list[_MIPController] = []
-    flow_plans: list[FlowPlan] = []
-    #: Per-mobile data hook lists, indexed like ``nodes`` (MobileIPNode
-    #: has no native on_data list, so flows and hotspot flows share
-    #: these through the "data" protocol handler).
-    hooks_by_index: list[list] = []
     for index in range(spec.population):
-        kind = traffic_assignment[index]
         node = MobileIPNode(
             sim,
             f"mn{index}",
@@ -278,57 +226,26 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
         #: Deterministic shared-channel arbitration key (population
         #: index), matching the other stacks' tie-break order.
         node.airtime_key = index
-        hooks: list = []
-        hooks_by_index.append(hooks)
-        node.on_protocol("data", _fan_out(hooks))
-        model = make_mobility(
-            mobility_assignment[index], index, streams, roam, starts[index]
-        )
         controllers.append(_MIPController(
             sim,
-            model,
+            population.model(index),
             node,
             agents_by_cell,
             cells=cells,
             sample_period=spec.sample_period,
         ))
         nodes.append(node)
-        plan = plan_flow(
-            sim,
-            kind,
-            f"{spec.name}.mn{index}",
-            streams,
-            ack_dispatcher,
-            downlink,
-            hooks,
-            node.originate,
-            cn.address,
-            node.home_address,
-        )
-        if plan is not None:
-            flow_plans.append(plan)
-    # Flash-crowd hotspots: extra simultaneous correspondent flows.
-    for index in hotspot_indices:
-        for flow in range(spec.hotspot_flows):
-            flow_plans.append(plan_flow(
-                sim,
-                "poisson-data",
-                f"{spec.name}.mn{index}.hot{flow}",
-                streams,
-                ack_dispatcher,
-                downlink,
-                hooks_by_index[index],
-                nodes[index].originate,
-                cn.address,
-                nodes[index].home_address,
-            ))
+    flow_plans = population.plan_flows(
+        sim, ack_dispatcher, nodes, downlink, cn.address,
+        lambda node: node.home_address,
+    )
 
     # Hybrid background: analytic claims on every contended flat cell.
     fluid_driver = install_fluid_background(
         sim,
         spec,
         [(cell, agent.shared_channel) for cell, agent in zip(cells, agents)],
-        roam,
+        population.roam,
     )
 
     return BuiltMIPScenario(
@@ -336,23 +253,14 @@ def build_mip_scenario(spec: ScenarioSpec, seed: int) -> BuiltMIPScenario:
         seed=int(seed),
         sim=sim,
         network=network,
+        population=population,
         home_agent=home_agent,
         agents=agents,
-        nodes=nodes,
+        mobiles=nodes,
         controllers=controllers,
         flow_plans=flow_plans,
         fluid_driver=fluid_driver,
     )
-
-
-def _fan_out(hooks: list):
-    """A ``data`` protocol handler firing every hook in ``hooks``."""
-
-    def handler(packet: Packet, link) -> None:
-        for hook in hooks:
-            hook(packet)
-
-    return handler
 
 
 class MobileIPStack(StackAdapter):

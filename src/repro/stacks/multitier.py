@@ -1,10 +1,10 @@
 """The multi-tier stack adapter: the paper's architecture (default).
 
-This is the pre-stacks ``repro.scenarios.builder`` world-assembly code
-hoisted behind the :class:`~repro.stacks.base.StackAdapter` interface:
-a :class:`~repro.multitier.architecture.MultiTierWorld` (one or two
+The multi-tier world assembly behind the
+:class:`~repro.stacks.base.StackAdapter` interface: a
+:class:`~repro.multitier.architecture.MultiTierWorld` (one or two
 domains, optional pico cells, optional shared air interface), the
-shared population plan from :mod:`repro.stacks.population`, per-mobile
+shared :class:`~repro.stacks.population.Population`, per-mobile
 :class:`~repro.multitier.architecture.MobilityController`\\ s applying
 the three-factor handoff decision, and RSMC route optimization at the
 correspondent.
@@ -22,41 +22,25 @@ byte-identical metrics on any execution backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.fluid.driver import (
-    FluidDriver,
-    fluid_channel_pairs,
-    install_fluid_background,
-)
+from repro.fluid.driver import fluid_channel_pairs, install_fluid_background
 from repro.multitier.architecture import MobilityController, MultiTierWorld
 from repro.multitier.mobile import MultiTierMobileNode
 from repro.net.packet import Packet
 from repro.policy.decider import TierDecider
 from repro.radio.channel import ChannelPlan
-from repro.sim.rng import RandomStreams
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
-    from repro.scenarios.spec import ScenarioSpec
-from repro.stacks.base import (
-    StackAdapter,
-    collect_metrics,
-    run_measurement_phases,
-)
+from repro.stacks.base import BuiltRun, StackAdapter
 from repro.stacks.population import (
     BANDWIDTH_DEMAND,
     ElasticAckDispatcher,
-    FlowPlan,
-    assignments,
-    make_mobility,
-    pico_placements,
-    plan_flow,
-    roam_rectangle,
-    start_positions,
+    Population,
 )
 from repro.stacks.registry import register_stack
-from repro.traffic import FlowSink, TrafficSource
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only (import cycle)
+    from repro.scenarios.spec import ScenarioSpec
 
 #: The multi-tier table's golden-pinned key order: the common keys with
 #: the two grandfathered extras in their historical slots.
@@ -79,43 +63,18 @@ METRIC_ORDER = (
 )
 
 
-@dataclass
-class BuiltScenario:
+@dataclass(kw_only=True)
+class BuiltScenario(BuiltRun):
     """A fully assembled multi-tier world plus its planned traffic."""
 
-    spec: ScenarioSpec
-    seed: int
     world: MultiTierWorld
-    mobiles: list[MultiTierMobileNode]
-    controllers: list[MobilityController]
-    mobility_assignment: list[str]
-    traffic_assignment: list[str]
-    hotspot_indices: list[int]
-    flow_plans: list[FlowPlan]
-    fluid_driver: "FluidDriver | None" = None
-    sources: list[TrafficSource] = field(default_factory=list)
-    sinks: list[FlowSink] = field(default_factory=list)
 
-    def execute(self) -> dict[str, float]:
-        """Run warmup → traffic window → drain; return scenario metrics."""
-        return run_measurement_phases(
-            self.world.sim,
-            self.spec,
-            self.flow_plans,
-            self.sources,
-            self.sinks,
-            self._collect_metrics,
-        )
-
-    def _collect_metrics(self) -> dict[str, float]:
+    def collect(self) -> dict[str, float]:
+        """The multi-tier metric dict (golden-pinned key order)."""
         world, spec = self.world, self.spec
         cn = world.cn
         routed = cn.sent_via_binding + cn.sent_via_home
-        return collect_metrics(
-            spec,
-            world.network,
-            self.sources,
-            self.flow_plans,
+        return self.collect_metrics(
             handoffs=sum(mobile.handoffs_completed for mobile in self.mobiles),
             handoff_latencies=[
                 latency
@@ -134,7 +93,6 @@ class BuiltScenario:
                 ),
             },
             channels=[bs.shared_channel for bs in world.all_radio_stations()],
-            fluid_driver=self.fluid_driver,
             # Non-default policy block only, so default runs keep their
             # table shape byte-identical.
             policy=(
@@ -146,32 +104,16 @@ class BuiltScenario:
         )
 
 
-# ----------------------------------------------------------------------
-def _downlink(world: MultiTierWorld, mobile: MultiTierMobileNode):
-    """A send callable streaming CN -> mobile with route optimization."""
-
-    def send(packet: Packet) -> bool:
-        return world.cn.send_to_mobile(
-            mobile.home_address,
-            size=packet.size,
-            flow_id=packet.flow_id,
-            seq=packet.seq,
-            created_at=packet.created_at,
-        )
-
-    return send
-
-
 def build_multitier_scenario(spec: ScenarioSpec, seed: int) -> BuiltScenario:
     """Assemble the multi-tier world, population and traffic for one run.
 
-    The pre-stacks ``build_scenario`` body, verbatim: same construction
-    order, same stream names, same pico placement — the root of the
-    ``stack="multitier"`` byte-identity guarantee.  Returns the
-    assembled (not yet run) world; call :meth:`BuiltScenario.execute`
-    to run it.
+    Builds the world, places the picos, then adds every mobile and its
+    controller in population order and plans the flows after them —
+    the construction order, stream names and pico placement the
+    ``stack="multitier"`` goldens pin.  Returns the assembled (not yet
+    run) world; call :meth:`BuiltScenario.execute` to run it.
     """
-    streams = RandomStreams(int(seed))
+    population = Population.plan(spec, seed)
     channel_plan = None
     if spec.channels_enabled():
         # Contention mode: per-cell shared channels on every tier.  The
@@ -188,25 +130,15 @@ def build_multitier_scenario(spec: ScenarioSpec, seed: int) -> BuiltScenario:
         domain_kwargs=dict(spec.domain_overrides),
         channel_plan=channel_plan,
     )
-    roam = roam_rectangle(spec)
-    mobility_assignment, traffic_assignment, hotspot_indices = assignments(
-        spec, streams
-    )
-    starts = start_positions(spec, streams, roam)
-    # In-building picos (Fig 2.1's third hierarchy level).  Legacy mode
-    # keeps the historic placement: alternating fixed offsets under the
-    # micro leaves.  Contention mode deploys them at seeded population
-    # concentration points, so the pico overlay can actually absorb
-    # load — the paper's reason for its existence.  The placement rule
-    # is shared with the baselines' flat layout (pico_placements), so
-    # cross-stack cell geometry cannot drift.
+    # In-building picos (Fig 2.1's third hierarchy level), placed by the
+    # rule shared with the baselines' flat layout so cross-stack cell
+    # geometry cannot drift.
     leaf_centers = {
         name: world.domain1[name].cell.center for name in ("B", "C", "E", "F")
     }
-    placements = pico_placements(
-        spec, starts, mobility_assignment, traffic_assignment, leaf_centers
-    )
-    for pico, (parent_name, center) in enumerate(placements):
+    for pico, (parent_name, center) in enumerate(
+        population.pico_placements(leaf_centers)
+    ):
         world.add_pico(parent_name, f"p{pico}", center)
 
     ack_dispatcher = ElasticAckDispatcher()
@@ -222,73 +154,60 @@ def build_multitier_scenario(spec: ScenarioSpec, seed: int) -> BuiltScenario:
     )
     mobiles: list[MultiTierMobileNode] = []
     controllers: list[MobilityController] = []
-    flow_plans: list[FlowPlan] = []
-    for index in range(spec.population):
-        kind = traffic_assignment[index]
+    for index, kind in enumerate(population.traffic):
         mobile = world.add_mobile(
             f"mn{index}",
             bandwidth_demand=BANDWIDTH_DEMAND[kind],
             airtime_key=index,
         )
-        model = make_mobility(
-            mobility_assignment[index], index, streams, roam, starts[index]
-        )
         controllers.append(
             world.add_controller(
                 mobile,
-                model,
+                population.model(index),
                 sample_period=spec.sample_period,
                 policy=policy,
             )
         )
         mobiles.append(mobile)
-        plan = plan_flow(
-            world.sim,
-            kind,
-            f"{spec.name}.mn{index}",
-            streams,
-            ack_dispatcher,
-            _downlink(world, mobile),
-            mobile.on_data,
-            mobile.originate,
-            world.cn.address,
-            mobile.home_address,
+
+    def downlink(packet: Packet) -> bool:
+        # CN -> mobile with route optimization (RSMC binding if known).
+        return world.cn.send_to_mobile(
+            packet.dst,
+            size=packet.size,
+            flow_id=packet.flow_id,
+            seq=packet.seq,
+            created_at=packet.created_at,
         )
-        if plan is not None:
-            flow_plans.append(plan)
-    # Flash-crowd hotspots: extra simultaneous correspondent flows.
-    for index in hotspot_indices:
-        for flow in range(spec.hotspot_flows):
-            plan = plan_flow(
-                world.sim,
-                "poisson-data",
-                f"{spec.name}.mn{index}.hot{flow}",
-                streams,
-                ack_dispatcher,
-                _downlink(world, mobiles[index]),
-                mobiles[index].on_data,
-                mobiles[index].originate,
-                world.cn.address,
-                mobiles[index].home_address,
-            )
-            flow_plans.append(plan)
+
+    flow_plans = population.plan_flows(
+        world.sim,
+        ack_dispatcher,
+        mobiles,
+        downlink,
+        world.cn.address,
+        lambda mobile: mobile.home_address,
+    )
 
     # Hybrid background (no-op returning None unless the spec carries a
     # non-empty fluid block): one analytic driver over every contended
     # cell, claiming airtime the discrete cohort then contends for.
     fluid_driver = install_fluid_background(
-        world.sim, spec, fluid_channel_pairs(world.all_radio_stations()), roam
+        world.sim,
+        spec,
+        fluid_channel_pairs(world.all_radio_stations()),
+        population.roam,
     )
 
     return BuiltScenario(
         spec=spec,
         seed=int(seed),
+        sim=world.sim,
+        network=world.network,
+        population=population,
         world=world,
         mobiles=mobiles,
         controllers=controllers,
-        mobility_assignment=mobility_assignment,
-        traffic_assignment=traffic_assignment,
-        hotspot_indices=hotspot_indices,
         flow_plans=flow_plans,
         fluid_driver=fluid_driver,
     )

@@ -1,21 +1,19 @@
 """Stack-independent population and traffic planning.
 
 Every protocol-stack adapter (multi-tier, Cellular IP, Mobile IP)
-instantiates the *same* population from a
-:class:`~repro.scenarios.spec.ScenarioSpec`: the same per-mobile
-mobility models, start positions, traffic-kind assignments and hotspot
-selections, drawn from the same named
+builds from one :class:`Population`, planned once per
+``(ScenarioSpec, seed)`` by :meth:`Population.plan`: the same
+per-mobile mobility models, start positions, traffic-kind assignments
+and hotspot selections, drawn from the same named
 :class:`~repro.sim.rng.RandomStreams`.  That is what makes a
 cross-stack comparison apples-to-apples — for one ``(spec, seed)``
 pair, mobile ``mn3`` walks the identical trajectory and receives the
 identical offered traffic under every stack; only the mobility
 management underneath differs.
 
-These helpers are hoisted verbatim from the pre-stacks
-``repro.scenarios.builder`` (PR 2); the stream names (``mn<i>.start.x``,
-``assign.traffic``, ``<flow>.talkspurts``, ...) are part of the
-determinism contract and must not change — the multi-tier adapter's
-byte-identity with pre-refactor output depends on them.
+The stream names (``mn<i>.start.x``, ``assign.traffic``,
+``<flow>.talkspurts``, ...) are part of the determinism contract and
+must not change — the committed goldens depend on them.
 
 Determinism: every function here is a pure function of
 ``(spec, streams, ...)`` inputs; all randomness flows through the named
@@ -87,109 +85,6 @@ def roam_rectangle(spec: "ScenarioSpec") -> Rectangle:
     return Rectangle(*bounds)
 
 
-def start_positions(
-    spec: "ScenarioSpec", streams: RandomStreams, roam: Rectangle
-) -> list[Point]:
-    """Every mobile's seeded start position, drawn once per mobile.
-
-    Uses the same per-mobile stream names the mobility factory has
-    always used (``mn<i>.start.x`` / ``.y``), and each name is drawn
-    exactly once per run, so every stack sees identical start
-    positions and legacy multi-tier worlds stay byte-identical.
-    """
-    return [
-        Point(
-            streams.uniform(f"mn{index}.start.x", roam.x_min, roam.x_max),
-            streams.uniform(f"mn{index}.start.y", roam.y_min, roam.y_max),
-        )
-        for index in range(spec.population)
-    ]
-
-
-def pico_sites(
-    spec: "ScenarioSpec",
-    starts: list[Point],
-    mobility_assignment: list[str],
-    traffic_assignment: list[str],
-) -> list[Point]:
-    """Contention-mode pico deployment: cells go where the load is.
-
-    The paper's in-building picos exist to absorb multimedia load the
-    wide tiers cannot carry, which presumes they are deployed at load
-    concentrations.  Under the shared-channel model we therefore place
-    each pico at the seeded start position of a slow, traffic-bearing
-    mobile (wrapping over the candidates when picos outnumber them) —
-    a pure function of (spec, seed), so determinism is untouched.
-    Legacy mode keeps the historic fixed offsets under the micro
-    leaves (see the multi-tier adapter).
-    """
-    candidates = [
-        index
-        for index in range(spec.population)
-        if mobility_assignment[index] in PICO_FRIENDLY_MODELS
-        and traffic_assignment[index] != "idle"
-    ]
-    if not candidates:
-        candidates = list(range(spec.population))
-    return [
-        starts[candidates[pico % len(candidates)]]
-        for pico in range(spec.pico_cells)
-    ]
-
-
-def pico_placements(
-    spec: "ScenarioSpec",
-    starts: list[Point],
-    mobility_assignment: list[str],
-    traffic_assignment: list[str],
-    leaf_centers: dict[str, Point],
-) -> list[tuple[str, Point]]:
-    """Per-pico ``(parent leaf name, center)`` placements, every stack.
-
-    The single source of truth for where a spec's pico cells go, shared
-    by the multi-tier world builder and the baselines' flat cell layout
-    so the cross-stack "same geometry" guarantee cannot drift:
-
-    * legacy mode (contention off): the historic fixed offsets — pico
-      ``i`` hangs under leaf ``i mod len(leaves)``, ±150 m alternating
-      by deployment round;
-    * contention mode: picos deploy at the seeded population
-      concentration points from :func:`pico_sites`, parented to the
-      nearest leaf (ties broken by ``leaf_centers`` insertion order).
-
-    ``leaf_centers`` maps candidate parent leaves (the multi-tier micro
-    leaves B/C/E/F) to their cell centers, in tie-break order.
-    Deterministic: pure function of its inputs.
-    """
-    leaves = list(leaf_centers)
-    if spec.channels_enabled():
-        sites = pico_sites(
-            spec, starts, mobility_assignment, traffic_assignment
-        )
-        return [
-            (
-                min(
-                    leaves,
-                    key=lambda name: leaf_centers[name].distance_to(center),
-                ),
-                center,
-            )
-            for center in sites
-        ]
-    placements: list[tuple[str, Point]] = []
-    for pico in range(spec.pico_cells):
-        parent = leaves[pico % len(leaves)]
-        side = 1 if (pico // len(leaves)) % 2 == 0 else -1
-        placements.append((
-            parent,
-            Point(
-                leaf_centers[parent].x + side * 150.0,
-                leaf_centers[parent].y,
-            ),
-        ))
-    return placements
-
-
 def make_mobility(
     kind: str, index: int, streams: RandomStreams, roam: Rectangle, start: Point
 ) -> MobilityModel:
@@ -216,34 +111,172 @@ def make_mobility(
     raise ValueError(f"unknown mobility model {kind!r}")
 
 
-def assignments(spec: "ScenarioSpec", streams: RandomStreams):
-    """Per-mobile (mobility model, traffic kind, hotspot) assignment.
+@dataclass(frozen=True)
+class Population:
+    """The shared population of one ``(spec, seed)``, planned once.
 
-    Counts come from the exact largest-remainder apportionment; the
-    pairing between the two lists is decorrelated by a seeded shuffle so
-    mixes cross (e.g. some vehicles stream video, some walkers are
-    idle) instead of aligning block-by-block.  Deterministic: the same
-    ``(spec, seed)`` pair assigns every stack the same population.
+    Every stack builds from this record, so for one seed each mobile
+    walks the same trajectory and receives the same offered traffic
+    under every stack.  Fields: the run's named ``streams``, the
+    ``roam`` rectangle, per-mobile ``mobility`` model names and
+    ``traffic`` kinds, the sorted ``hotspots`` indices and the seeded
+    ``starts``.  Deterministic: :meth:`plan` is a pure function of
+    ``(spec, seed)``; later draws go through the same named streams.
     """
-    mobility = [
-        name
-        for name, count in spec.mobility_counts().items()
-        for _ in range(count)
-    ]
-    traffic = [
-        kind
-        for kind, count in spec.traffic_counts().items()
-        for _ in range(count)
-    ]
-    shuffle_rng = streams.stream("assign.traffic")
-    order = list(shuffle_rng.permutation(spec.population))
-    traffic = [traffic[position] for position in order]
-    hotspot_rng = streams.stream("assign.hotspots")
-    hotspots = sorted(
-        int(i)
-        for i in hotspot_rng.permutation(spec.population)[: spec.hotspot_count()]
-    )
-    return mobility, traffic, hotspots
+
+    spec: "ScenarioSpec"
+    streams: RandomStreams
+    roam: Rectangle
+    mobility: list[str]
+    traffic: list[str]
+    hotspots: list[int]
+    starts: list[Point]
+
+    @classmethod
+    def plan(cls, spec: "ScenarioSpec", seed: int) -> "Population":
+        """Apportion and place the population of ``(spec, seed)``.
+
+        Mobility and traffic counts come from the exact
+        largest-remainder apportionment; the pairing between the two
+        lists is decorrelated by a seeded shuffle (``assign.traffic``)
+        so mixes cross instead of aligning block-by-block, and the
+        hotspot mobiles are a seeded pick (``assign.hotspots``).  Start
+        positions draw ``mn<i>.start.x`` / ``.y`` once per mobile.
+        """
+        streams = RandomStreams(int(seed))
+        roam = roam_rectangle(spec)
+        mobility = [
+            name
+            for name, count in spec.mobility_counts().items()
+            for _ in range(count)
+        ]
+        traffic = [
+            kind
+            for kind, count in spec.traffic_counts().items()
+            for _ in range(count)
+        ]
+        order = streams.stream("assign.traffic").permutation(spec.population)
+        traffic = [traffic[position] for position in order]
+        hotspots = sorted(
+            int(i)
+            for i in streams.stream("assign.hotspots").permutation(
+                spec.population
+            )[: spec.hotspot_count()]
+        )
+        starts = [
+            Point(
+                streams.uniform(f"mn{index}.start.x", roam.x_min, roam.x_max),
+                streams.uniform(f"mn{index}.start.y", roam.y_min, roam.y_max),
+            )
+            for index in range(spec.population)
+        ]
+        return cls(spec, streams, roam, mobility, traffic, hotspots, starts)
+
+    def model(self, index: int) -> MobilityModel:
+        """Mobile ``index``'s mobility model (see :func:`make_mobility`)."""
+        return make_mobility(
+            self.mobility[index], index, self.streams, self.roam,
+            self.starts[index],
+        )
+
+    def pico_placements(
+        self, leaf_centers: dict[str, Point]
+    ) -> list[tuple[str, Point]]:
+        """Per-pico ``(parent leaf name, center)`` placements, every stack.
+
+        The single source of truth for where the spec's pico cells go,
+        shared by the multi-tier world builder and the baselines' flat
+        cell layout so the cross-stack "same geometry" guarantee cannot
+        drift:
+
+        * legacy mode (contention off): the historic fixed offsets —
+          pico ``i`` hangs under leaf ``i mod len(leaves)``, ±150 m
+          alternating by deployment round;
+        * contention mode: cells go where the load is.  The paper's
+          in-building picos exist to absorb multimedia load the wide
+          tiers cannot carry, so each pico sits at the start position
+          of a slow, traffic-bearing mobile (wrapping over the
+          candidates when picos outnumber them), parented to the
+          nearest leaf (ties broken by ``leaf_centers`` insertion
+          order).
+
+        ``leaf_centers`` maps candidate parent leaves (the multi-tier
+        micro leaves B/C/E/F) to their cell centers, in tie-break order.
+        """
+        spec = self.spec
+        leaves = list(leaf_centers)
+        if spec.channels_enabled():
+            candidates = [
+                index
+                for index in range(spec.population)
+                if self.mobility[index] in PICO_FRIENDLY_MODELS
+                and self.traffic[index] != "idle"
+            ] or list(range(spec.population))
+            sites = [
+                self.starts[candidates[pico % len(candidates)]]
+                for pico in range(spec.pico_cells)
+            ]
+            return [
+                (
+                    min(
+                        leaves,
+                        key=lambda name: leaf_centers[name].distance_to(center),
+                    ),
+                    center,
+                )
+                for center in sites
+            ]
+        placements: list[tuple[str, Point]] = []
+        for pico in range(spec.pico_cells):
+            parent = leaves[pico % len(leaves)]
+            side = 1 if (pico // len(leaves)) % 2 == 0 else -1
+            placements.append((
+                parent,
+                Point(
+                    leaf_centers[parent].x + side * 150.0,
+                    leaf_centers[parent].y,
+                ),
+            ))
+        return placements
+
+    def plan_flows(
+        self,
+        sim: "Simulator",
+        ack_dispatcher: "ElasticAckDispatcher",
+        mobiles: list,
+        downlink: Callable[[Packet], bool],
+        cn_address,
+        address: Callable[[object], object],
+    ) -> list["FlowPlan"]:
+        """Plan every flow of the run: one per mobile, then the hotspots.
+
+        ``mobiles`` are the stack's mobile nodes in population order;
+        each must carry an ``on_data`` hook list and an ``originate``
+        uplink.  ``downlink`` is the CN-side injection callable,
+        ``cn_address`` the flows' source and ``address(mobile)`` their
+        destination.  Flash-crowd hotspot mobiles get
+        ``spec.hotspot_flows`` extra Poisson correspondent flows each,
+        planned after every mobile's own flow.  Planning schedules no
+        event, so it may follow world assembly without reordering it.
+        """
+        spec = self.spec
+
+        def plan(kind: str, index: int, flow_id: str) -> Optional[FlowPlan]:
+            mobile = mobiles[index]
+            return plan_flow(
+                sim, kind, flow_id, self.streams, ack_dispatcher, downlink,
+                mobile.on_data, mobile.originate, cn_address, address(mobile),
+            )
+
+        plans = [
+            plan(kind, index, f"{spec.name}.mn{index}")
+            for index, kind in enumerate(self.traffic)
+        ]
+        return [p for p in plans if p is not None] + [
+            plan("poisson-data", index, f"{spec.name}.mn{index}.hot{flow}")
+            for index in self.hotspots
+            for flow in range(spec.hotspot_flows)
+        ]
 
 
 class ElasticAckDispatcher:
@@ -355,11 +388,8 @@ __all__ = [
     "PICO_FRIENDLY_MODELS",
     "ElasticAckDispatcher",
     "FlowPlan",
-    "assignments",
+    "Population",
     "make_mobility",
-    "pico_placements",
-    "pico_sites",
     "plan_flow",
     "roam_rectangle",
-    "start_positions",
 ]

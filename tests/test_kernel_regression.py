@@ -1,14 +1,14 @@
 """Micro-regression pins for the kernel fast path.
 
-The PR 9 speed work changed the hottest structures in the simulator —
-pooled ``_Callback`` events behind :meth:`Simulator.call_later`, an
-inlined dispatch loop in :meth:`Simulator.run`, ``__slots__`` on
-:class:`~repro.net.packet.Packet` and the monitor probes.  None of
-that may move a single event: this file pins the ordering contract
-(time, then priority, then scheduling order) across both scheduling
-APIs, the pool's recycling semantics, and the exact totals the leaner
-Monitor accounting produces.  The 16 experiment-table goldens pin the
-same contract end-to-end; these tests localize a violation.
+The kernel's speed work changed the hottest structures in the
+simulator — pooled ``_Callback`` events behind
+:meth:`Simulator.call_later`, an inlined dispatch loop in
+:meth:`Simulator.run`, ``__slots__`` on
+:class:`~repro.net.packet.Packet`.  None of that may move a single
+event: this file pins the ordering contract (time, then priority, then
+scheduling order) across both scheduling APIs and the pool's
+recycling semantics.  The 16 experiment-table goldens pin the same
+contract end-to-end; these tests localize a violation.
 """
 
 import pytest
@@ -17,7 +17,6 @@ from repro.net.packet import Packet
 from repro.sim import Simulator
 from repro.sim.events import NORMAL, URGENT, Timeout
 from repro.sim.kernel import _Callback
-from repro.sim.monitor import Monitor
 
 
 # ----------------------------------------------------------------------
@@ -153,47 +152,12 @@ def test_pooled_callback_type_is_internal_only_and_slotted():
 
 
 # ----------------------------------------------------------------------
-# Monitor accounting after the __slots__ / single-probe changes
+# Packet __slots__
 # ----------------------------------------------------------------------
-def test_monitor_totals_are_pinned():
-    sim = Simulator()
-    monitor = Monitor(sim)
-    for _ in range(3):
-        monitor.count("handoffs")
-    monitor.count("handoffs", 2)
-    monitor.record("delay", 1.0, 10.0)
-    monitor.record("delay", 2.0, 30.0)
-    gauge = monitor.gauge("queue")
-    Timeout(sim, 1.0).callbacks.append(lambda e: gauge.set(4.0))
-    Timeout(sim, 3.0).callbacks.append(lambda e: gauge.set(0.0))
-    sim.run(until=4.0)
-    assert monitor.get_count("handoffs") == 5
-    assert monitor.get_count("never-touched") == 0
-    series = monitor.timeseries("delay")
-    assert (series.times, series.values) == ([1.0, 2.0], [10.0, 30.0])
-    snapshot = monitor.snapshot()
-    assert snapshot["count.handoffs"] == 5
-    assert snapshot["series.delay.mean"] == 20.0
-    assert snapshot["gauge.queue"] == pytest.approx(4.0 * 2.0 / 4.0)
-
-
-def test_monitor_lookup_methods_return_the_same_object():
-    monitor = Monitor()
-    assert monitor.counter("x") is monitor.counter("x")
-    assert monitor.timeseries("y") is monitor.timeseries("y")
-    monitor.count("x")
-    assert monitor.counter("x").value == 1
-    monitor.record("y", 0.0, 1.0)
-    assert len(monitor.timeseries("y")) == 1
-
-
-def test_monitor_and_packet_carry_no_instance_dict():
-    """``__slots__`` actually took: the high-churn objects allocate no
+def test_packet_carries_no_instance_dict():
+    """``__slots__`` actually took: the highest-churn object allocates no
     per-instance ``__dict__`` (the point of the memory work), and
     Packet's field coercion still runs."""
-    monitor = Monitor()
-    with pytest.raises(AttributeError):
-        monitor.not_a_slot = 1
     packet = Packet(src="10.0.0.1", dst="10.0.0.2", size=100)
     with pytest.raises(AttributeError):
         packet.not_a_field = 1

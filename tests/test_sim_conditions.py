@@ -1,23 +1,8 @@
-"""Tests for AnyOf/AllOf condition events."""
+"""Tests for condition events (AnyOf and the generic Condition)."""
 
 import pytest
 
 from repro.sim import Simulator
-
-
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    log = []
-
-    def proc(sim):
-        a = sim.timeout(1.0, value="a")
-        b = sim.timeout(3.0, value="b")
-        result = yield sim.all_of([a, b])
-        log.append((sim.now, [result[a], result[b]]))
-
-    sim.process(proc(sim))
-    sim.run()
-    assert log == [(3.0, ["a", "b"])]
 
 
 def test_any_of_fires_on_first_event():
@@ -49,19 +34,6 @@ def test_any_of_value_mapping():
     assert list(got.values()) == [10]
 
 
-def test_empty_all_of_triggers_immediately():
-    sim = Simulator()
-    log = []
-
-    def proc(sim):
-        yield sim.all_of([])
-        log.append(sim.now)
-
-    sim.process(proc(sim))
-    sim.run()
-    assert log == [0.0]
-
-
 def test_empty_any_of_triggers_immediately():
     sim = Simulator()
     log = []
@@ -82,7 +54,7 @@ def test_condition_over_already_processed_events():
     def proc(sim):
         early = sim.timeout(1.0, value="e")
         yield sim.timeout(5.0)
-        result = yield sim.all_of([early])
+        result = yield sim.any_of([early])
         log.append((sim.now, result[early]))
 
     sim.process(proc(sim))
@@ -97,7 +69,7 @@ def test_condition_failure_propagates():
 
     def proc(sim, event):
         try:
-            yield sim.all_of([event, sim.timeout(10.0)])
+            yield sim.any_of([event, sim.timeout(10.0)])
         except RuntimeError as error:
             caught.append(str(error))
 
@@ -112,7 +84,7 @@ def test_condition_rejects_foreign_events():
     sim_b = Simulator()
     event = sim_b.event()
     with pytest.raises(ValueError):
-        sim_a.all_of([event])
+        sim_a.any_of([event])
 
 
 def test_timeout_race_any_of_used_as_timeout_guard():

@@ -1,16 +1,8 @@
-"""Tests for Resource, GuardedChannelPool and Store primitives."""
+"""Tests for the Resource and GuardedChannelPool primitives."""
 
 import pytest
 
-from repro.sim import (
-    FilterStore,
-    GuardedChannelPool,
-    Interrupt,
-    Preempted,
-    Resource,
-    Simulator,
-    Store,
-)
+from repro.sim import GuardedChannelPool, Resource, Simulator
 
 
 def test_resource_grants_up_to_capacity():
@@ -49,35 +41,6 @@ def test_resource_release_grants_next_waiter():
     ]
 
 
-def test_resource_priority_order():
-    sim = Simulator()
-    resource = Resource(sim, capacity=1)
-    order = []
-
-    def user(sim, resource, name, priority):
-        with resource.request(priority=priority) as request:
-            yield request
-            order.append(name)
-            yield sim.timeout(1.0)
-
-    def starter(sim, resource):
-        # Take the resource, let the others queue, then see who wins.
-        with resource.request() as request:
-            yield request
-            yield sim.timeout(1.0)
-
-    sim.process(starter(sim, resource))
-
-    def spawn_later(sim):
-        yield sim.timeout(0.1)
-        sim.process(user(sim, resource, "low", 5))
-        sim.process(user(sim, resource, "high", 1))
-
-    sim.process(spawn_later(sim))
-    sim.run()
-    assert order == ["high", "low"]
-
-
 def test_request_context_manager_releases():
     sim = Simulator()
     resource = Resource(sim, capacity=1)
@@ -91,40 +54,6 @@ def test_request_context_manager_releases():
     sim.run()
     assert resource.count == 0
     assert resource.free == 1
-
-
-def test_preemption_evicts_lower_priority_user():
-    sim = Simulator()
-    resource = Resource(sim, capacity=1, preemptive=True)
-    log = []
-
-    def victim(sim, resource):
-        request = resource.request(priority=10)
-        yield request
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            assert isinstance(interrupt.cause, Preempted)
-            log.append(("victim-preempted", sim.now))
-
-    def bully(sim, resource):
-        yield sim.timeout(5.0)
-        request = resource.request(priority=0, preempt=True)
-        yield request
-        log.append(("bully-acquired", sim.now))
-
-    sim.process(victim(sim, resource))
-    sim.process(bully(sim, resource))
-    sim.run()
-    assert ("victim-preempted", 5.0) in log
-    assert ("bully-acquired", 5.0) in log
-
-
-def test_preempt_flag_requires_preemptive_resource():
-    sim = Simulator()
-    resource = Resource(sim, capacity=1)
-    with pytest.raises(ValueError):
-        resource.request(preempt=True)
 
 
 def test_invalid_capacity_rejected():
@@ -165,103 +94,3 @@ def test_guarded_pool_invalid_guard():
     sim = Simulator()
     with pytest.raises(ValueError):
         GuardedChannelPool(sim, capacity=2, guard=2)
-
-
-def test_store_put_get_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def producer(sim, store):
-        for item in "abc":
-            yield store.put(item)
-            yield sim.timeout(1.0)
-
-    def consumer(sim, store):
-        for _ in range(3):
-            item = yield store.get()
-            got.append((sim.now, item))
-
-    sim.process(producer(sim, store))
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert [item for _t, item in got] == ["a", "b", "c"]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer(sim, store):
-        item = yield store.get()
-        got.append((sim.now, item))
-
-    def producer(sim, store):
-        yield sim.timeout(4.0)
-        yield store.put("late")
-
-    sim.process(consumer(sim, store))
-    sim.process(producer(sim, store))
-    sim.run()
-    assert got == [(4.0, "late")]
-
-
-def test_store_capacity_blocks_put():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    log = []
-
-    def producer(sim, store):
-        yield store.put(1)
-        log.append(("put-1", sim.now))
-        yield store.put(2)
-        log.append(("put-2", sim.now))
-
-    def consumer(sim, store):
-        yield sim.timeout(5.0)
-        yield store.get()
-
-    sim.process(producer(sim, store))
-    sim.process(consumer(sim, store))
-    sim.run()
-    assert ("put-1", 0.0) in log
-    assert ("put-2", 5.0) in log
-
-
-def test_store_try_put_try_get():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    assert store.try_get() is None
-    assert store.try_put("x")
-    assert not store.try_put("y")  # full
-    assert store.try_get() == "x"
-    assert store.try_get() is None
-
-
-def test_filter_store_selects_matching_item():
-    sim = Simulator()
-    store = FilterStore(sim)
-    got = []
-
-    def consumer(sim, store):
-        item = yield store.get(lambda item: item % 2 == 0)
-        got.append(item)
-
-    def producer(sim, store):
-        yield store.put(1)
-        yield store.put(3)
-        yield sim.timeout(1.0)
-        yield store.put(4)
-
-    sim.process(consumer(sim, store))
-    sim.process(producer(sim, store))
-    sim.run()
-    assert got == [4]
-    assert list(store.items) == [1, 3]
-
-
-def test_store_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)

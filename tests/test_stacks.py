@@ -205,14 +205,38 @@ def test_air_metrics_only_in_contention_mode():
         assert contended["air_busiest_downlink"] > 0
 
 
-def test_shared_population_plan_offers_identical_traffic():
-    """The apples-to-apples core: same seed, same offered load, every
-    stack (city-rush-hour has no elastic feedback loop)."""
+@pytest.mark.parametrize("scenario", ["city-rush-hour", "flash-crowd"])
+def test_shared_population_plan_offers_identical_traffic(scenario):
+    """The apples-to-apples core: same seed, same planned flows, same
+    offered load, every stack.  Neither scenario has an elastic
+    feedback loop; flash-crowd is the smoke spec with hotspot flows."""
+    from repro.scenarios import build_scenario
+
+    plans = {
+        stack: [
+            (plan.flow_id, plan.kind)
+            for plan in build_scenario(_smoke(scenario, stack=stack), 1).flow_plans
+        ]
+        for stack in ALL_STACKS
+    }
+    assert all(plan == plans[DEFAULT_STACK] for plan in plans.values()), plans
     sent = {
-        stack: run_scenario_spec(_smoke("city-rush-hour", stack=stack), 1)["sent"]
+        stack: run_scenario_spec(_smoke(scenario, stack=stack), 1)["sent"]
         for stack in ALL_STACKS
     }
     assert len(set(sent.values())) == 1, sent
+
+
+@pytest.mark.parametrize("stack", ALL_STACKS)
+def test_delivered_data_is_not_counted_as_dropped(stack):
+    """A data packet the mobile's ``on_data`` hooks consumed is delivered,
+    not a ``dropped_no_handler`` drop (the packet ledger's premise)."""
+    from repro.scenarios import build_scenario
+
+    built = build_scenario(_smoke("city-rush-hour", stack=stack), 1)
+    metrics = built.execute()
+    assert metrics["received"] > 0
+    assert sum(mobile.dropped_no_handler for mobile in built.mobiles) == 0
 
 
 @pytest.mark.parametrize("domains", [1, 2])
@@ -224,11 +248,15 @@ def test_flat_layout_macro_micro_geometry_matches_multitier(domains):
     silently drift away from."""
     from repro.multitier.architecture import MultiTierWorld
     from repro.stacks.flat import flat_cell_layout
+    from repro.stacks.population import Population
 
     spec = get_scenario("sparse-rural").smoke().replace(domains=domains)
     world = MultiTierWorld(second_domain=domains == 2)
     world_cells = {bs.name: bs.cell for bs in world.all_radio_stations()}
-    layout = {site.name: site for site in flat_cell_layout(spec)}
+    layout = {
+        site.name: site
+        for site in flat_cell_layout(spec, Population.plan(spec, 1))
+    }
     # The flat layout mirrors every radio cell the multi-tier world has
     # (aggregation-only stations like R3 carry no cell and no site).
     assert set(layout) == set(world_cells)
@@ -245,15 +273,11 @@ def test_flat_layout_macro_micro_geometry_matches_multitier(domains):
 def test_flat_layout_pico_geometry_matches_multitier(scenario):
     """The baselines' pico cells sit exactly where the multi-tier
     world's do — legacy fixed offsets and contention-mode population
-    concentration points alike (shared ``pico_placements`` rule)."""
+    concentration points alike (shared ``Population.pico_placements``
+    rule)."""
     from repro.scenarios import build_scenario
     from repro.stacks.flat import flat_cell_layout
-    from repro.stacks.population import (
-        assignments,
-        roam_rectangle,
-        start_positions,
-    )
-    from repro.sim.rng import RandomStreams
+    from repro.stacks.population import Population
 
     spec = get_scenario(scenario).smoke()
     assert spec.pico_cells > 0
@@ -262,12 +286,9 @@ def test_flat_layout_pico_geometry_matches_multitier(scenario):
         built.world.domain1.stations[f"p{i}"].cell.center
         for i in range(spec.pico_cells)
     ]
-    streams = RandomStreams(1)
-    mobility, traffic, _ = assignments(spec, streams)
-    starts = start_positions(spec, streams, roam_rectangle(spec))
     flat_centers = [
         site.center
-        for site in flat_cell_layout(spec, starts, mobility, traffic)
+        for site in flat_cell_layout(spec, Population.plan(spec, 1))
         if site.name.startswith("p")
     ]
     assert [(c.x, c.y) for c in flat_centers] == [
